@@ -29,17 +29,9 @@ import numpy as np
 from ..hw.config import MAX_FRAGMENT_EXPONENT
 
 
-def _trailing_zeros(values: np.ndarray) -> np.ndarray:
-    """Number of trailing zero bits per element (0 input -> 63)."""
-    v = values.astype(np.int64)
-    out = np.zeros(v.shape, dtype=np.int64)
-    zero = v == 0
-    v = np.where(zero, 1, v)
-    isolated = v & -v  # lowest set bit
-    # log2 of a power of two via float is exact for < 2**53.
-    out = np.log2(isolated.astype(np.float64)).astype(np.int64)
-    out[zero] = 63
-    return out
+def _adjacent(frames: np.ndarray) -> np.ndarray:
+    """Run boundaries: entry i is True when page i+1's frame follows page i's."""
+    return np.diff(frames) == 1
 
 
 def contiguous_runs(frames: np.ndarray) -> list[tuple[int, int]]:
@@ -52,7 +44,7 @@ def contiguous_runs(frames: np.ndarray) -> list[tuple[int, int]]:
     n = len(frames)
     if n == 0:
         return []
-    breaks = np.flatnonzero(np.diff(frames) != 1) + 1
+    breaks = np.flatnonzero(~_adjacent(frames)) + 1
     starts = np.concatenate(([0], breaks))
     ends = np.concatenate((breaks, [n]))
     return [(int(s), int(e - s)) for s, e in zip(starts, ends)]
@@ -64,6 +56,15 @@ def compute_fragments(
     max_exponent: int = MAX_FRAGMENT_EXPONENT,
 ) -> np.ndarray:
     """Per-page fragment exponents for a mapped virtual range.
+
+    amdgpu's greedy walk emits, at each position of a contiguous run, the
+    largest block aligned at both the virtual and the physical page number
+    that fits in the rest of the run.  That gives every page the largest
+    ``2**e``-page block aligned in both spaces that contains it and lies
+    wholly inside its run (MODELING.md section 4).  A block of level ``e``
+    qualifies when both of its level ``e - 1`` halves do, the halves are
+    physically adjacent, and its first frame is ``2**e``-aligned, so one
+    pass per level finds them all, stopping at the first empty level.
 
     Args:
         frames: physical frame number of each consecutive virtual page,
@@ -77,70 +78,34 @@ def compute_fragments(
     """
     frames = np.asarray(frames, dtype=np.int64)
     n = len(frames)
-    out = np.zeros(n, dtype=np.int8)
-    if n == 0:
-        return out
-
-    # Vectorised fast path for the dominant scattered case: pages whose
-    # neighbours are not physically adjacent are single-page fragments
-    # (exponent 0) and need no per-run work.
-    prev_adjacent = np.zeros(n, dtype=bool)
-    next_adjacent = np.zeros(n, dtype=bool)
-    if n > 1:
-        adj = np.diff(frames) == 1
-        prev_adjacent[1:] = adj
-        next_adjacent[:-1] = adj
-    isolated = ~(prev_adjacent | next_adjacent)
-    # out already 0 for isolated pages.
-
-    if isolated.all():
-        return out
-
-    # Enumerate only multi-page runs (the Python loop below is O(runs)).
-    breaks = np.flatnonzero(np.diff(frames) != 1) + 1
-    starts = np.concatenate(([0], breaks))
-    ends = np.concatenate((breaks, [n]))
-    lengths = ends - starts
-    multi = lengths > 1
-    for start, length in zip(starts[multi], lengths[multi]):
-        _assign_run(out, frames, base_vpn, int(start), int(length), max_exponent)
-    return out
-
-
-def _assign_run(
-    out: np.ndarray,
-    frames: np.ndarray,
-    base_vpn: int,
-    start: int,
-    length: int,
-    max_exponent: int,
-) -> None:
-    """Greedy aligned power-of-two decomposition of one contiguous run.
-
-    Mirrors amdgpu's update loop: repeatedly emit the largest block that
-    (a) starts at the current position, (b) is aligned at both the virtual
-    and physical page number, and (c) fits in the remainder of the run.
-    """
-    pos = start
-    end = start + length
-    while pos < end:
-        vpn = base_vpn + pos
-        pfn = int(frames[pos])
-        align = min(
-            _scalar_trailing_zeros(vpn),
-            _scalar_trailing_zeros(pfn),
-        )
-        remaining = end - pos
-        size_exp = min(align, remaining.bit_length() - 1, max_exponent)
-        block = 1 << size_exp
-        out[pos : pos + block] = size_exp
-        pos += block
-
-
-def _scalar_trailing_zeros(value: int) -> int:
-    if value == 0:
-        return 63
-    return (value & -value).bit_length() - 1
+    top = min(max_exponent, n.bit_length() - 1)
+    if top <= 0:
+        return np.zeros(n, dtype=np.int8)
+    # Index pages from the 2**top-aligned page at or below base_vpn, so the
+    # level-e blocks are the slices [k << e, (k + 1) << e) of that index.
+    pad = int(base_vpn) & ((1 << top) - 1)
+    size = -(-(pad + n) >> top) << top
+    adjacent = np.zeros(size, dtype=bool)
+    adjacent[pad : pad + n - 1] = _adjacent(frames)
+    ok = np.zeros(size, dtype=bool)
+    ok[pad : pad + n] = True
+    levels = []
+    for e in range(1, top + 1):
+        step = 1 << e
+        ok = ok[0::2] & ok[1::2] & adjacent[step // 2 - 1 :: step]
+        # The first frame of every block that starts inside the range.
+        first = -pad % step
+        lead = frames[first::step]
+        k0 = (pad + first) >> e
+        ok[k0 : k0 + len(lead)] &= (lead & (step - 1)) == 0
+        if not ok.any():
+            break
+        levels.append(ok)
+    # Each page's exponent is the number of levels whose block holds it.
+    depth = levels.pop().astype(np.int8) if levels else np.zeros(size, np.int8)
+    for ok in reversed(levels):
+        depth = np.repeat(depth, 2) + ok
+    return np.repeat(depth, size // len(depth))[pad : pad + n]
 
 
 def fragment_histogram(exponents: np.ndarray) -> dict[int, int]:

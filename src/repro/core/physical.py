@@ -39,6 +39,14 @@ class TransientAllocationError(OutOfMemoryError):
     HIP layer's bounded retry-with-backoff consumes these."""
 
 
+def _all_set_blocks(bits: np.ndarray, width: int) -> np.ndarray:
+    """``bits.reshape(-1, width).all(axis=1)`` for a bool array whose length
+    is a multiple of the power of two *width*, read up to 8 flags per word."""
+    word = min(width, 8)
+    full = bits.view(f"<u{word}") == int.from_bytes(b"\x01" * word, "little")
+    return full if width == word else _all_set_blocks(full, width // word)
+
+
 class PhysicalMemory:
     """Frame allocator over the APU's unified physical pool."""
 
@@ -133,10 +141,7 @@ class PhysicalMemory:
         starts = self._find_aligned_runs(
             full_chunks + (1 if tail else 0), chunk_pages, frame_range
         )
-        frames = np.concatenate(
-            [np.arange(s, s + chunk_pages, dtype=np.int64) for s in starts]
-        )
-        frames = frames[:npages]
+        frames = (starts[:, None] + np.arange(chunk_pages)).ravel()[:npages]
         self._claim(frames)
         return frames
 
@@ -171,8 +176,9 @@ class PhysicalMemory:
             raise OutOfMemoryError(
                 f"frame range too small for {chunk_pages}-page chunks"
             )
-        blocks = self._free[base:usable].reshape(-1, chunk_pages)
-        candidates = first_block + np.flatnonzero(blocks.all(axis=1))
+        candidates = first_block + np.flatnonzero(
+            _all_set_blocks(self._free[base:usable], chunk_pages)
+        )
         if len(candidates) < count:
             raise OutOfMemoryError(
                 f"cannot find {count} contiguous runs of {chunk_pages} pages "
@@ -282,21 +288,12 @@ class PhysicalMemory:
             ok = self._free[starts]
             for extra in range(1, run):
                 ok &= self._free[starts + extra]
-            starts = np.unique(starts[ok])
-            if run > 1 and starts.size > 1:
-                # Drop runs overlapping an earlier selected run.
-                keep = np.empty(starts.size, dtype=bool)
-                keep[0] = True
-                keep[1:] = np.diff(starts) >= run
-                starts = starts[keep]
+            starts = np.sort(starts[ok])
+            # Drop repeated draws and runs overlapping an earlier one.
+            starts = starts[np.diff(starts, prepend=starts[:1] - run) >= run]
             starts = starts[:need_runs]
             if starts.size:
-                if run == 1:
-                    frames = starts.astype(np.int64)
-                else:
-                    frames = (
-                        starts[:, None] + np.arange(run, dtype=np.int64)
-                    ).ravel()
+                frames = (starts[:, None] + np.arange(run)).ravel()
                 self._claim(frames)
                 out[filled : filled + len(frames)] = frames
                 filled += len(frames)

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hw.config import PAGE_SIZE, small_config
 from repro.hw.hbm import HBMSubsystem, channel_balance
-from repro.core.physical import OutOfMemoryError, PhysicalMemory
+from repro.core.physical import OutOfMemoryError, PhysicalMemory, _all_set_blocks
 
 
 @pytest.fixture
@@ -153,3 +154,67 @@ class TestChannelWeights:
         phys = PhysicalMemory(cfg)
         weights = phys.channel_weights()
         assert np.allclose(weights, weights[0])
+
+
+def reference_chunk_frames(free, npages, chunk_pages, frame_range=None):
+    """alloc_chunks' frames from a row-wise block scan and one arange per chunk."""
+    if frame_range is None:
+        first_block, usable = 0, (len(free) // chunk_pages) * chunk_pages
+    else:
+        lo, hi = frame_range
+        first_block = -(-lo // chunk_pages)
+        usable = (hi // chunk_pages) * chunk_pages
+    blocks = free[first_block * chunk_pages : usable].reshape(-1, chunk_pages)
+    candidates = first_block + np.flatnonzero(blocks.all(axis=1))
+    count = -(-npages // chunk_pages)
+    if len(candidates) >= 3 * count:
+        candidates = candidates[::3]
+    starts = candidates[:count] * chunk_pages
+    frames = np.concatenate(
+        [np.arange(s, s + chunk_pages, dtype=np.int64) for s in starts]
+    )
+    return frames[:npages]
+
+
+class TestFastPathsAgainstReference:
+    @pytest.mark.parametrize("frame_range", [None, (1003, 50_000)])
+    @pytest.mark.parametrize("chunk_pages", [1, 2, 4, 8, 16, 64])
+    def test_chunk_frames_match_reference(self, chunk_pages, frame_range):
+        # Punch scattered holes first so the block scan has work to do.
+        phys = PhysicalMemory(small_config(1 << 28), seed=11)
+        free = np.ones(phys.total_frames, dtype=bool)
+        free[phys.alloc_scattered(1500)] = False
+        # Asking for more pages than the pool holds lists every free chunk.
+        every = len(reference_chunk_frames(
+            free, phys.total_frames, chunk_pages, frame_range
+        ))
+        # A strided request (few chunks) and a dense one (most of them),
+        # each ending in a partial chunk when chunk_pages > 1.
+        for npages in (37 * chunk_pages + chunk_pages // 2, every * 2 // 3 + 1):
+            expected = reference_chunk_frames(
+                free, npages, chunk_pages, frame_range
+            )
+            frames = phys.alloc_chunks(npages, chunk_pages, frame_range)
+            assert frames.dtype == np.int64
+            np.testing.assert_array_equal(frames, expected)
+            free[frames] = False
+
+    @given(
+        width_exp=st.integers(0, 10),
+        nblocks=st.integers(1, 40),
+        offset_blocks=st.integers(0, 3),
+        density=st.sampled_from([0.3, 0.9, 0.995, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_block_scan_matches_row_all(
+        self, width_exp, nblocks, offset_blocks, density, seed
+    ):
+        width = 1 << width_exp
+        pool = np.random.default_rng(seed).random(
+            (nblocks + offset_blocks) * width
+        ) < density
+        bits = pool[offset_blocks * width :]
+        np.testing.assert_array_equal(
+            _all_set_blocks(bits, width), bits.reshape(-1, width).all(axis=1)
+        )

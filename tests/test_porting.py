@@ -15,6 +15,7 @@ from repro.porting.strategies import (
     naive_free_memory,
     reliable_free_memory,
 )
+from repro.runtime.apu import make_apu
 from repro.runtime.kernels import BufferAccess, KernelSpec
 
 
@@ -138,6 +139,29 @@ class TestUnifiedVector:
         vec.extend(range(100))
         assert vec.size == 100
         assert vec.data[99] == 99.0
+
+    @pytest.mark.parametrize("allocator", ["malloc", "hipMalloc"])
+    def test_extend_input_kinds_agree(self, allocator):
+        # An ndarray goes straight to numpy; a list or a generator is
+        # materialised first.  Contents, growth and simulated time agree.
+        values = np.linspace(-1.0, 1.0, 5000) ** 3
+        inputs = {
+            "ndarray": lambda: values,
+            "list": values.tolist,
+            "generator": lambda: (v for v in values.tolist()),
+        }
+        outcomes = {}
+        for kind, make in inputs.items():
+            apu = make_apu(2, xnack=True)
+            vec = UnifiedVector(apu, np.float32, allocator, initial_capacity=4)
+            vec.extend(make())
+            vec.extend(make())
+            outcomes[kind] = (vec.data, vec.reallocations, apu.clock.now_ns)
+        data, reallocations, now_ns = outcomes.pop("ndarray")
+        assert len(data) == 10000 and reallocations > 0
+        for kind, outcome in outcomes.items():
+            np.testing.assert_array_equal(outcome[0], data, err_msg=kind)
+            assert outcome[1:] == (reallocations, now_ns), kind
 
     def test_default_allocator_is_pageable(self, apu):
         vec = UnifiedVector(apu)
