@@ -91,7 +91,9 @@ def run_pipeline(inject=None, memory_gib: int = 4) -> dict:
     except HipError as failure:
         error = failure
     finally:
-        # The fatal scenario bails mid-pipeline: release the stragglers.
+        # The fatal scenario bails mid-pipeline: drain the device, then
+        # release the stragglers.
+        hip.hipDeviceSynchronize()
         for allocation in list(hip.apu.memory.allocations):
             hip.hipFree(allocation)
 

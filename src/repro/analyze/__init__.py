@@ -11,17 +11,19 @@ Three cooperating passes over programs written against
   reads, races with in-flight ``hipMemcpyAsync``, lifetime violations
   through ``hipFree``, and XNACK-off fatal accesses.
 
-* a **static linter** (:mod:`repro.analyze.linter`):
-  ``python -m repro lint <paths>`` flags missing synchronization,
-  leaked allocations, free-before-sync, mixed explicit/managed usage
-  and deprecated/unknown API names without running anything.
-
 * a **static performance advisor** (:mod:`repro.analyze.advise`):
   ``python -m repro advise <paths|--apps>`` runs a CFG + dataflow
   analysis that prices the paper's UPM anti-patterns — redundant
   copies, first-touch placement, predicted fault storms, TLB reach,
   mixed allocation models, device syncs in loops — with SARIF 2.1.0
   output and a CI baseline.
+
+* a **static linter** (:mod:`repro.analyze.linter`):
+  ``python -m repro lint <paths>`` flags deprecated/unknown API names
+  from a name table, and runs missing-sync, free-before-sync,
+  use-after-free, double-free, leaked-allocation and mixed-model
+  checks on the advisor's dataflow — one static engine, path- and
+  loop-sensitive, without running anything.
 
 All passes report :class:`~repro.analyze.findings.Finding` records
 whose severities come from the shared rule registry

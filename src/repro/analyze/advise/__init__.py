@@ -1,10 +1,10 @@
 """``repro.advise`` — static UPM performance advisor.
 
 A CFG + dataflow analysis over the simulator's Python/HIP-API surface
-that finds the *performance* anti-patterns the paper measures — the
-ones :mod:`repro.analyze.linter`'s flat AST walk cannot see because
-they depend on what reaches a program point, on which path, and in
-what allocation state:
+that finds the *performance* anti-patterns the paper measures — they
+depend on what reaches a program point, on which path, and in what
+allocation state.  It is also the engine under the linter's lifetime
+and synchronization rules:
 
 * :mod:`.cfg` — per-function control-flow graphs (branches, loops,
   try/finally, with) with dominators and loop regions;
@@ -14,6 +14,8 @@ what allocation state:
 * :mod:`.summaries` — bottom-up interprocedural summaries, so a
   finding survives ``apps/common.py``-style helper refactors;
 * :mod:`.checks` — the six paper-grounded checks;
+* :mod:`.lint` — the linter's lifetime/sync rules, per scope and
+  intraprocedural;
 * :mod:`.sarif` / :mod:`.baseline` — SARIF 2.1.0 output and the CI
   suppression baseline.
 
@@ -31,7 +33,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from ...hw.config import MI300AConfig
 from ..findings import Finding, Severity
-from ..linter import _excluded
+from ..paths import python_files
 from .baseline import (
     fingerprint,
     load_baseline,
@@ -85,15 +87,8 @@ def advise_paths(
 ) -> List[Finding]:
     """Advise every ``.py`` file under the given files/directories."""
     findings: List[Finding] = []
-    seen = set()
-    for root in paths:
-        root = Path(root)
-        files = [root] if root.is_file() else sorted(root.rglob("*.py"))
-        for file in files:
-            if file in seen or _excluded(file, exclude):
-                continue
-            seen.add(file)
-            findings.extend(advise_file(file, config))
+    for file in python_files(paths, exclude):
+        findings.extend(advise_file(file, config))
     return findings
 
 

@@ -46,12 +46,6 @@ class Node:
     #: expression itself (with-as).
     bind_mode: str = ""
 
-    def describe(self) -> str:  # pragma: no cover - debugging aid
-        label = self.kind
-        if self.line is not None:
-            label += f"@{self.line}"
-        return label
-
 
 @dataclass
 class Loop:

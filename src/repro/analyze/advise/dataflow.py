@@ -12,21 +12,32 @@ components:
 * ``gpu_warm`` — *must* already be mapped into the GPU page table on
   every path (intersection join): origins a GPU kernel or an SDMA copy
   has definitely touched.  First-touch hazards and predicted fault
-  storms key off "not definitely warm".
+  storms key off "not definitely warm";
+* ``freed`` — *may* have been passed to ``hipFree`` (union join), as
+  (bound name, free line) pairs.  Keyed by name rather than origin so
+  handles that are parameters or TOP-valued are covered too; rebinding
+  the name clears it;
+* ``pending`` — asynchronous work *may* be in flight (union join): the
+  lines of the first launch / async copy since the last sync on some
+  path.
 
 After the fixpoint converges, one emit pass walks the statement nodes
 in program order and records :class:`Event` records — allocations,
 CPU writes, kernel launches (with each access's warm/written status at
-that point), copies, and synchronizations — which
-:mod:`repro.analyze.advise.checks` consumes and
+that point), copies, synchronizations, frees, host accesses, and reads
+of possibly-freed names (each with the freed/pending state at that
+point) — which :mod:`repro.analyze.advise.checks` and
+:mod:`repro.analyze.advise.lint` consume and
 :mod:`repro.analyze.advise.summaries` replays at call sites.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import (
+    Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from .cfg import CFG, Node, build_cfg
 from .values import (
@@ -68,6 +79,36 @@ DIRECT_ALLOCATORS: Dict[str, str] = {
 #: Container methods that imply a CPU write to the receiving buffer.
 CPU_WRITE_METHODS = frozenset({"extend", "append", "push_back", "fill"})
 
+#: Deallocation spellings: the HIP call and the memory-manager method.
+FREE_CALLS = frozenset({"hipFree", "free"})
+
+#: Synchronization spellings -> sync kind (``hipMemcpy`` also drains
+#: pending work: it is synchronous on the default stream).
+SYNC_CALLS: Dict[str, str] = {
+    "hipDeviceSynchronize": "device",
+    "device_synchronize": "device",
+    "hipStreamSynchronize": "stream",
+    "synchronize": "stream",
+    "hipEventSynchronize": "event",
+}
+
+#: Kernel-launch spellings: the HIP calls and the kernel-engine methods.
+GPU_LAUNCH_CALLS = frozenset({"launchKernel", "run_gpu"})
+CPU_LAUNCH_CALLS = frozenset({"runCpuKernel", "run_cpu"})
+
+#: Calls that create a runtime/APU: a function calling one owns its
+#: memory arena (and is accountable for leaks).
+RUNTIME_FACTORIES = frozenset({"make_runtime", "make_apu"})
+
+
+def call_name(expr: ast.Call) -> Optional[str]:
+    """The terminal attribute/identifier a call targets."""
+    if isinstance(expr.func, ast.Attribute):
+        return expr.func.attr
+    if isinstance(expr.func, ast.Name):
+        return expr.func.id
+    return None
+
 
 @dataclass(frozen=True)
 class LaunchAccess:
@@ -83,7 +124,10 @@ class LaunchAccess:
 class Event:
     """One dataflow fact, attributed to the function that executed it."""
 
-    kind: str  #: "alloc" | "cpu_write" | "launch" | "copy" | "sync"
+    #: "alloc" | "cpu_write" | "launch" | "copy" | "sync" | "free" |
+    #: "host" (host compute or a ``.np`` view) | "use" (a read of a name
+    #: that may already be freed)
+    kind: str
     line: int
     function: str
     loops: Tuple[int, ...] = ()  #: enclosing loop ids, function-local
@@ -98,10 +142,13 @@ class Event:
     size_bytes: Optional[int] = None
     is_async: bool = False
     sync_kind: str = ""  #: sync: "device" | "stream" | "event"
-
-    @property
-    def in_loop(self) -> bool:
-        return bool(self.loops)
+    #: alloc: the name the allocation is bound to; free / use / host:
+    #: the handle's name ("" when not a plain name).
+    name: str = ""
+    #: free / use: the lines at which *name* may already have been freed.
+    freed: FrozenSet[int] = frozenset()
+    #: free / host: the lines of asynchronous work that may be pending.
+    pending: FrozenSet[int] = frozenset()
 
 
 @dataclass
@@ -115,25 +162,39 @@ class FunctionResult:
     param_names: List[str] = field(default_factory=list)
     param_defaults: Dict[int, object] = field(default_factory=dict)
     xnack_off: bool = False
+    owns_runtime: bool = False  #: calls make_runtime / make_apu itself
+    returned: Set[str] = field(default_factory=set)  #: names read by returns
+    exit_state: Optional["AbsState"] = None  #: converged state at exit
 
 
 class AbsState:
     """The product state flowing along CFG edges."""
 
-    __slots__ = ("env", "cpu_written", "gpu_warm")
+    __slots__ = ("env", "cpu_written", "gpu_warm", "freed", "pending")
 
     def __init__(
         self,
         env: Optional[Dict[str, object]] = None,
         cpu_written: FrozenSet[Origin] = frozenset(),
         gpu_warm: FrozenSet[Origin] = frozenset(),
+        freed: FrozenSet[Tuple[str, int]] = frozenset(),
+        pending: FrozenSet[int] = frozenset(),
     ) -> None:
         self.env: Dict[str, object] = dict(env or {})
         self.cpu_written: FrozenSet[Origin] = cpu_written
         self.gpu_warm: FrozenSet[Origin] = gpu_warm
+        self.freed: FrozenSet[Tuple[str, int]] = freed
+        self.pending: FrozenSet[int] = pending
 
     def copy(self) -> "AbsState":
-        return AbsState(self.env, self.cpu_written, self.gpu_warm)
+        return AbsState(
+            self.env, self.cpu_written, self.gpu_warm, self.freed,
+            self.pending,
+        )
+
+    def freed_lines(self, name: str) -> FrozenSet[int]:
+        """Lines at which *name* may have been freed."""
+        return frozenset(line for n, line in self.freed if n == name)
 
     def merge(self, other: "AbsState") -> bool:
         """Join *other* into self; True when anything changed."""
@@ -150,6 +211,12 @@ class AbsState:
         warm = self.gpu_warm & other.gpu_warm
         if warm != self.gpu_warm:
             self.gpu_warm = warm
+            changed = True
+        if not other.freed <= self.freed:
+            self.freed = self.freed | other.freed
+            changed = True
+        if not other.pending <= self.pending:
+            self.pending = self.pending | other.pending
             changed = True
         return changed
 
@@ -168,6 +235,9 @@ class _Interp:
         self.summaries = summaries
         self._node: Optional[Node] = None  # node being transferred
         self._emit = False
+        #: id(call) -> name, for allocation calls assigned straight to a
+        #: name in the statement being transferred.
+        self._binds: Dict[int, str] = {}
 
     # -- event plumbing -------------------------------------------------
 
@@ -175,9 +245,26 @@ class _Interp:
         assert self._node is not None
         return self.cfg.loops_of.get(self._node.id, ())
 
-    def _record(self, event: Event) -> None:
+    def _record(self, kind: str, at: Union[ast.AST, int], **fields) -> None:
+        """Record one event of this function at *at* (a node or a line);
+        only the emit pass records."""
         if self._emit:
-            self.result.events.append(event)
+            line = at if isinstance(at, int) else self._line(at)
+            self.result.events.append(
+                Event(
+                    kind=kind,
+                    line=line,
+                    function=self.result.qualname,
+                    loops=self._loops(),
+                    **fields,
+                )
+            )
+
+    def _replay(self, event: Event, **changes) -> None:
+        """Record a callee's event as replayed at this call site."""
+        if self._emit:
+            changes = {"via_summary": True, "loops": (), **changes}
+            self.result.events.append(replace(event, **changes))
 
     def _line(self, expr: ast.AST) -> int:
         line = getattr(expr, "lineno", None)
@@ -188,7 +275,9 @@ class _Interp:
     # -- transfer -------------------------------------------------------
 
     def transfer(self, node: Node, state: AbsState, emit: bool) -> AbsState:
-        self._node, self._emit = node, emit
+        self._node, self._emit, self._binds = node, emit, {}
+        if emit:
+            self._scan_uses(node, state)
         if node.kind == "header":
             if node.expr is not None:
                 value = self.eval(node.expr, state)
@@ -202,10 +291,12 @@ class _Interp:
             return state
         stmt = node.stmt
         if isinstance(stmt, ast.Assign):
+            self._binds = self._bound_calls(stmt.targets, stmt.value)
             value = self.eval(stmt.value, state)
             for target in stmt.targets:
                 self._assign(target, value, stmt.value, state)
         elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            self._binds = self._bound_calls([stmt.target], stmt.value)
             value = self.eval(stmt.value, state)
             self._assign(stmt.target, value, stmt.value, state)
         elif isinstance(stmt, ast.AugAssign):
@@ -214,6 +305,11 @@ class _Interp:
         elif isinstance(stmt, ast.Return):
             value = self.eval(stmt.value, state) if stmt.value else None
             self.result.ret = join(self.result.ret, value)
+            if stmt.value is not None:
+                self.result.returned.update(
+                    n.id for n in ast.walk(stmt.value)
+                    if isinstance(n, ast.Name)
+                )
         elif isinstance(stmt, ast.Expr):
             self.eval(stmt.value, state)
         elif isinstance(stmt, (ast.Assert, ast.Raise, ast.Delete)):
@@ -221,6 +317,57 @@ class _Interp:
                 if isinstance(child, ast.expr):
                     self.eval(child, state)
         return state
+
+    @staticmethod
+    def _bound_calls(
+        targets: Sequence[ast.expr], value: ast.expr
+    ) -> Dict[int, str]:
+        """id(value expression) -> the name it is assigned straight to."""
+        binds: Dict[int, str] = {}
+        for target in targets:
+            if isinstance(target, ast.Name):
+                binds.setdefault(id(value), target.id)
+            elif (
+                isinstance(target, ast.Tuple)
+                and isinstance(value, ast.Tuple)
+                and len(target.elts) == len(value.elts)
+            ):
+                for t, v in zip(target.elts, value.elts):
+                    if isinstance(t, ast.Name):
+                        binds.setdefault(id(v), t.id)
+        return binds
+
+    def _scan_uses(self, node: Node, state: AbsState) -> None:
+        """Record the handle reads of one node against its in-state:
+        names passed to a call or dereferenced while they may be freed
+        (``use``), and ``.np`` host views of buffers (``host``)."""
+        root = node.stmt if node.kind == "stmt" else node.expr
+        if root is None:
+            return
+        for sub in ast.walk(root):
+            if isinstance(sub, ast.Call):
+                if call_name(sub) in FREE_CALLS:
+                    continue  # a second free is a double free, not a use
+                for arg in [*sub.args, *(k.value for k in sub.keywords)]:
+                    if isinstance(arg, ast.Name):
+                        self._use(arg.id, sub, state)
+            elif isinstance(sub, ast.Attribute) and isinstance(
+                sub.value, ast.Name
+            ):
+                name = sub.value.id
+                if self._use(name, sub, state) or sub.attr != "np":
+                    continue
+                if isinstance(state.env.get(name), BufVal):
+                    self._record(
+                        "host", sub, name=name, pending=state.pending
+                    )
+
+    def _use(self, name: str, expr: ast.AST, state: AbsState) -> bool:
+        """Record a read of *name* if it may be freed; True if so."""
+        freed = state.freed_lines(name)
+        if freed:
+            self._record("use", expr, name=name, freed=freed)
+        return bool(freed)
 
     @staticmethod
     def _element_of(value: object) -> object:
@@ -239,6 +386,10 @@ class _Interp:
     ) -> None:
         if isinstance(target, ast.Name):
             state.env[target.id] = value
+            if state.freed:  # a rebound name no longer holds the freed handle
+                state.freed = frozenset(
+                    p for p in state.freed if p[0] != target.id
+                )
         elif isinstance(target, (ast.Tuple, ast.List)):
             elems: Sequence[object]
             if isinstance(value, TupleVal) and len(value.elems) == len(
@@ -292,15 +443,7 @@ class _Interp:
         origins = origins_of(value)
         if origins or isinstance(value, ParamVal):
             state.cpu_written = state.cpu_written | origins
-            self._record(
-                Event(
-                    kind="cpu_write",
-                    line=line,
-                    function=self.result.qualname,
-                    loops=self._loops(),
-                    buf=value,
-                )
-            )
+            self._record("cpu_write", line, buf=value)
 
     # -- expression evaluation ------------------------------------------
 
@@ -419,14 +562,6 @@ class _Interp:
 
     # -- calls ----------------------------------------------------------
 
-    @staticmethod
-    def _call_name(expr: ast.Call) -> Optional[str]:
-        if isinstance(expr.func, ast.Attribute):
-            return expr.func.attr
-        if isinstance(expr.func, ast.Name):
-            return expr.func.id
-        return None
-
     def _arg(self, expr: ast.Call, index: int, kw: Optional[str] = None):
         if index < len(expr.args):
             return expr.args[index]
@@ -443,7 +578,7 @@ class _Interp:
         return None
 
     def _call(self, expr: ast.Call, state: AbsState) -> object:
-        name = self._call_name(expr)
+        name = call_name(expr)
         receiver = (
             self.eval(expr.func.value, state)
             if isinstance(expr.func, ast.Attribute)
@@ -460,38 +595,26 @@ class _Interp:
             return self._buffer_access(expr, state)
         if name == "KernelSpec":
             return self._kernel_spec(expr, state)
-        if name == "launchKernel":
+        if name in GPU_LAUNCH_CALLS:
             return self._launch(expr, state, gpu=True)
-        if name == "runCpuKernel":
+        if name in CPU_LAUNCH_CALLS:
             return self._launch(expr, state, gpu=False)
         if name in ("hipMemcpy", "hipMemcpyAsync"):
             return self._memcpy(expr, state, name == "hipMemcpyAsync")
         if name == "touch":
             return self._touch(expr, state)
-        if name in (
-            "hipDeviceSynchronize", "hipStreamSynchronize",
-            "hipEventSynchronize",
-        ):
+        if name in SYNC_CALLS:
             self._eval_args(expr, state)
-            kind = {
-                "hipDeviceSynchronize": "device",
-                "hipStreamSynchronize": "stream",
-                "hipEventSynchronize": "event",
-            }[name]
-            self._record(
-                Event(
-                    kind="sync",
-                    line=self._line(expr),
-                    function=self.result.qualname,
-                    loops=self._loops(),
-                    sync_kind=kind,
-                )
-            )
+            self._record("sync", expr, sync_kind=SYNC_CALLS[name])
+            state.pending = frozenset()
             return TOP
+        if name in FREE_CALLS:
+            return self._free(expr, state)
         if name == "hipStreamCreate":
             self._eval_args(expr, state)
             return StreamVal(default=False)
-        if name == "make_runtime":
+        if name in RUNTIME_FACTORIES:
+            self.result.owns_runtime = True
             self._eval_args(expr, state)
             xnack = self._kwarg(expr, "xnack")
             if isinstance(xnack, ast.Constant) and xnack.value is False:
@@ -573,14 +696,8 @@ class _Interp:
         )
         buf = BufVal(origins)
         self._record(
-            Event(
-                kind="alloc",
-                line=line,
-                function=self.result.qualname,
-                loops=self._loops(),
-                buf=buf,
-                size_bytes=size,
-            )
+            "alloc", line, buf=buf, size_bytes=size,
+            name=self._binds.get(id(expr), ""),
         )
         return buf
 
@@ -644,15 +761,8 @@ class _Interp:
             for f in families
         )
         buf = BufVal(origins)
-        self._record(
-            Event(
-                kind="alloc",
-                line=line,
-                function=self.result.qualname,
-                loops=self._loops(),
-                buf=buf,
-            )
-        )
+        # No bound name: a vector owns its storage, it is never hipFree'd.
+        self._record("alloc", line, buf=buf)
         return buf
 
     # -- kernels --------------------------------------------------------
@@ -714,6 +824,10 @@ class _Interp:
         for keyword in expr.keywords:
             if keyword.arg != "stream":
                 self.eval(keyword.value, state)
+        if gpu:
+            state.pending = state.pending or frozenset({self._line(expr)})
+        else:
+            self._record("host", expr, pending=state.pending)
         if not isinstance(spec, SpecVal):
             return TOP
         if not gpu:
@@ -733,15 +847,8 @@ class _Interp:
             )
             touched |= origins
         self._record(
-            Event(
-                kind="launch",
-                line=self._line(expr),
-                function=self.result.qualname,
-                loops=self._loops(),
-                kernel=spec.name,
-                accesses=tuple(accesses),
-                stream_default=stream_default,
-            )
+            "launch", expr, kernel=spec.name, accesses=tuple(accesses),
+            stream_default=stream_default,
         )
         state.gpu_warm = state.gpu_warm | frozenset(touched)
         return TOP
@@ -768,21 +875,30 @@ class _Interp:
         for keyword in expr.keywords:
             self.eval(keyword.value, state)
         self._record(
-            Event(
-                kind="copy",
-                line=self._line(expr),
-                function=self.result.qualname,
-                loops=self._loops(),
-                dst=dst,
-                src=src,
-                size_bytes=size,
-                is_async=is_async,
-            )
+            "copy", expr, dst=dst, src=src, size_bytes=size,
+            is_async=is_async,
         )
         # SDMA touches both endpoints' pages: they are mapped afterwards.
         state.gpu_warm = (
             state.gpu_warm | origins_of(dst) | origins_of(src)
         )
+        if is_async:
+            state.pending = state.pending or frozenset({self._line(expr)})
+        else:
+            state.pending = frozenset()  # synchronous on the default stream
+        return TOP
+
+    def _free(self, expr: ast.Call, state: AbsState) -> object:
+        self._eval_args(expr, state)
+        arg = expr.args[0] if expr.args else None
+        name = arg.id if isinstance(arg, ast.Name) else ""
+        line = self._line(expr)
+        self._record(
+            "free", line, name=name, freed=state.freed_lines(name),
+            pending=state.pending,
+        )
+        if name:
+            state.freed = state.freed | {(name, line)}
         return TOP
 
     def _touch(self, expr: ast.Call, state: AbsState) -> object:
@@ -822,29 +938,11 @@ class _Interp:
         """Replay a callee's events against the caller's state."""
         for event in summary.events:
             if event.kind == "alloc":
-                buf = substitute(event.buf, bindings)
-                self._record(
-                    Event(
-                        kind="alloc",
-                        line=event.line,
-                        function=event.function,
-                        via_summary=True,
-                        buf=buf,
-                        size_bytes=event.size_bytes,
-                    )
-                )
+                self._replay(event, buf=substitute(event.buf, bindings))
             elif event.kind == "cpu_write":
                 buf = substitute(event.buf, bindings)
                 state.cpu_written = state.cpu_written | origins_of(buf)
-                self._record(
-                    Event(
-                        kind="cpu_write",
-                        line=event.line,
-                        function=event.function,
-                        via_summary=True,
-                        buf=buf,
-                    )
-                )
+                self._replay(event, buf=buf)
             elif event.kind == "launch":
                 accesses: List[LaunchAccess] = []
                 touched: Set[Origin] = set()
@@ -861,34 +959,12 @@ class _Interp:
                         LaunchAccess(value, access.mode, warm, written)
                     )
                     touched |= origins
-                self._record(
-                    Event(
-                        kind="launch",
-                        line=event.line,
-                        function=event.function,
-                        via_summary=True,
-                        kernel=event.kernel,
-                        accesses=tuple(accesses),
-                        stream_default=event.stream_default,
-                    )
-                )
+                self._replay(event, accesses=tuple(accesses))
                 state.gpu_warm = state.gpu_warm | frozenset(touched)
             elif event.kind == "copy":
                 dst = substitute(event.dst, bindings)
                 src = substitute(event.src, bindings)
-                self._record(
-                    Event(
-                        kind="copy",
-                        line=event.line,
-                        function=event.function,
-                        loops=self._loops(),
-                        via_summary=True,
-                        dst=dst,
-                        src=src,
-                        size_bytes=event.size_bytes,
-                        is_async=event.is_async,
-                    )
-                )
+                self._replay(event, loops=self._loops(), dst=dst, src=src)
                 state.gpu_warm = (
                     state.gpu_warm | origins_of(dst) | origins_of(src)
                 )
@@ -950,6 +1026,7 @@ def analyze_function(
         entry_env[p.arg] = ParamVal(i)
 
     in_states = compute_in_states(interp, cfg, AbsState(env=entry_env))
+    result.exit_state = in_states.get(cfg.exit)
 
     # Emit pass: node ids are creation order, i.e. program order.
     result.ret = None  # recompute cleanly during emission

@@ -25,7 +25,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .dataflow import FunctionResult, analyze_function
+from .cfg import CFG
+from .dataflow import AbsState, FunctionResult, _Interp, analyze_function
 from .values import NumVal, StrVal
 
 
@@ -41,27 +42,10 @@ class ModuleAnalysis:
 
 
 def _fold_expr(expr: ast.expr):
-    """Constant-fold a module-level expression to an abstract value."""
-    if isinstance(expr, ast.Constant):
-        if isinstance(expr.value, str):
-            return StrVal.of(expr.value)
-        if isinstance(expr.value, bool):
-            return None
-        if isinstance(expr.value, (int, float)):
-            return NumVal(expr.value)
-        return None
-    if isinstance(expr, ast.BinOp):
-        left, right = _fold_expr(expr.left), _fold_expr(expr.right)
-        if isinstance(left, NumVal) and isinstance(right, NumVal):
-            from .dataflow import _Interp
-
-            folded = _Interp._fold_binop(type(expr.op), left, right)
-            return folded if isinstance(folded, NumVal) else None
-    if isinstance(expr, ast.UnaryOp) and isinstance(expr.op, ast.USub):
-        value = _fold_expr(expr.operand)
-        if isinstance(value, NumVal):
-            return NumVal(-value.value)
-    return None
+    """Constant-fold a module-level expression to a number or string."""
+    interp = _Interp(FunctionResult("<constants>", ""), CFG(), {})
+    value = interp.eval(expr, AbsState())
+    return value if isinstance(value, (NumVal, StrVal)) else None
 
 
 def _module_constants(module: ast.Module) -> Dict[str, object]:

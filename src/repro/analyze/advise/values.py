@@ -75,21 +75,12 @@ class Origin:
     def up_front(self) -> bool:
         return self.family in UP_FRONT_FAMILIES
 
-    def describe(self) -> str:
-        label = self.name or self.family
-        size = f", {self.size_bytes} B" if self.size_bytes else ""
-        return f"{label!r} ({self.family}, line {self.line}{size})"
-
 
 @dataclass(frozen=True)
 class BufVal:
     """A buffer handle: the set of allocation sites it may alias."""
 
     origins: FrozenSet[Origin]
-
-    @staticmethod
-    def single(origin: Origin) -> "BufVal":
-        return BufVal(frozenset({origin}))
 
 
 @dataclass(frozen=True)

@@ -1,40 +1,18 @@
 """Static API-misuse linter over code using the ``repro.runtime`` HIP API.
 
-A single-pass AST walk per scope (the module body and each function
-body) tracking, per scope:
+Two layers, one report:
 
-* which names were bound by an allocator call (``hipMalloc``,
-  ``hipHostMalloc``, ``hipMallocManaged``, ``malloc``, ``array(...)``),
-* which names were released through ``hipFree`` (or the memory
-  manager's ``free``),
-* whether asynchronous work (``launchKernel`` / ``hipMemcpyAsync``) is
-  pending without an intervening synchronization.
+* a **name table** (this module): ``lint.unknown-api`` flags a
+  ``hipXxx`` call, attribute or name the simulated runtime does not
+  expose, and ``lint.deprecated-api`` a CUDA-era spelling
+  (``hipMallocHost``, ``hipMemcpyDtoH``, ...) with its replacement;
+* **lifetime and synchronization rules** (``double-free``,
+  ``use-after-free``, ``free-before-sync``, ``missing-sync``,
+  ``leaked-alloc``, ``mixed-model``): checks over the advisor's
+  per-function CFG dataflow (:mod:`repro.analyze.advise.lint`), so they
+  follow every path through loops, branches and ``try`` blocks.
 
-Rules (ERROR severity gates CI):
-
-* ``lint.unknown-api`` (error) — a ``hipXxx`` call or constant the
-  runtime does not expose;
-* ``lint.deprecated-api`` (error) — CUDA-era spellings
-  (``hipMallocHost``, ``hipMemcpyDtoH``, ...) with their replacements;
-* ``lint.double-free`` (error) — the same name passed to ``hipFree``
-  twice with no rebinding in between;
-* ``lint.use-after-free`` (error) — a freed name used afterwards;
-* ``lint.free-before-sync`` (error) — ``hipFree`` while asynchronous
-  work may still be in flight;
-* ``lint.missing-sync`` (warning) — host access (``.np`` /
-  ``runCpuKernel``) while asynchronous work is pending;
-* ``lint.leaked-alloc`` (warning) — an allocation neither freed nor
-  returned, in a scope that creates its own runtime (calls
-  ``make_runtime`` / ``make_apu``).  A scope that merely receives a
-  runtime as a parameter *borrows* its memory arena — the creator owns
-  teardown (the app harness frees everything after the timed window) —
-  so borrower scopes are exempt;
-* ``lint.mixed-model`` (warning) — one logical buffer name rebound
-  across the explicit and managed allocator families.
-
-The walk is linear: loop bodies are visited once, so a sync at the
-bottom of a loop clears pending work for the statements after the loop
-(and, conservatively, for the textually later part of the body only).
+Severities come from the shared rule registry; ERROR findings gate CI.
 """
 
 from __future__ import annotations
@@ -43,9 +21,12 @@ import ast
 import functools
 import re
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set
 
+from .advise.dataflow import call_name
+from .advise.lint import lint_tree
 from .findings import Finding, make_finding
+from .paths import python_files
 
 #: CUDA-era / removed spellings and their modern replacements.
 DEPRECATED_APIS: Dict[str, str] = {
@@ -57,50 +38,6 @@ DEPRECATED_APIS: Dict[str, str] = {
     "hipMemcpyDtoD": "hipMemcpy",
     "hipStreamWaitEvent_spin": "hipStreamWaitEvent",
 }
-
-#: Allocator call -> allocator family (for lint.mixed-model).
-ALLOC_FAMILIES: Dict[str, str] = {
-    "hipMalloc": "explicit",
-    "hipHostMalloc": "explicit",
-    "hipMallocManaged": "managed",
-    "malloc": "host",
-}
-
-#: ``array(..., allocator="X")`` strings -> allocator family.  Static
-#: allocators (``managed_static``) are absent on purpose: statics cannot
-#: be freed, so they are exempt from lifetime tracking.
-ARRAY_ALLOC_FAMILIES: Dict[str, str] = {
-    "hipMalloc": "explicit",
-    "hipHostMalloc": "explicit",
-    "malloc+register": "explicit",
-    "hipMallocManaged": "managed",
-    "malloc": "host",
-}
-
-#: Deallocation spellings: the HIP call and the memory-manager method.
-FREE_CALLS = frozenset({"hipFree", "free"})
-
-#: Calls that create a runtime/APU.  A scope containing one *owns* the
-#: memory arena and is accountable for leaks; every other scope borrows.
-RUNTIME_FACTORIES = frozenset({"make_runtime", "make_apu"})
-
-#: Calls that enqueue asynchronous work.
-ASYNC_CALLS = frozenset({"launchKernel", "hipMemcpyAsync", "run_gpu"})
-
-#: Calls that drain it (hipMemcpy is synchronous on the default stream).
-SYNC_CALLS = frozenset(
-    {
-        "hipDeviceSynchronize",
-        "hipStreamSynchronize",
-        "hipEventSynchronize",
-        "synchronize",
-        "device_synchronize",
-        "hipMemcpy",
-    }
-)
-
-#: Host-side compute that reads buffers on the host timeline.
-HOST_COMPUTE_CALLS = frozenset({"runCpuKernel", "run_cpu"})
 
 _HIP_NAME = re.compile(r"^hip[A-Z]\w*$")
 
@@ -120,331 +57,48 @@ def known_hip_api() -> frozenset:
     return frozenset(names)
 
 
-def _call_name(node: ast.Call) -> Optional[str]:
-    """The terminal attribute/identifier a call targets."""
-    func = node.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return None
-
-
-def _first_arg_name(node: ast.Call) -> Optional[str]:
-    if node.args and isinstance(node.args[0], ast.Name):
-        return node.args[0].id
-    return None
-
-
-def _array_family(node: ast.Call) -> Optional[str]:
-    """The allocator family of an ``array(...)`` call, when literal."""
-    for kw in node.keywords:
-        if kw.arg == "allocator":
-            if isinstance(kw.value, ast.Constant):
-                return ARRAY_ALLOC_FAMILIES.get(str(kw.value.value))
-            return None  # dynamic allocator: family unknown, untracked
-    for arg in node.args[2:3]:  # array(shape, dtype, allocator)
-        if isinstance(arg, ast.Constant):
-            return ARRAY_ALLOC_FAMILIES.get(str(arg.value))
-        return None
-    return "explicit"  # array() defaults to hipMalloc
-
-
-class _ScopeLinter:
-    """Lints one scope's statement list with a linear walk."""
-
-    def __init__(
-        self,
-        file: str,
-        defined: Set[str],
-        findings: List[Finding],
-    ) -> None:
-        self.file = file
-        self.defined = defined
-        self.findings = findings
-        self.allocs: Dict[str, Tuple[int, str]] = {}  # name -> (line, family)
-        self.families: Dict[str, str] = {}  # name -> last family
-        self.freed: Dict[str, int] = {}  # name -> hipFree line
-        self.pending_async: Optional[int] = None  # line of pending work
-        self.returned: Set[str] = set()
-        self.owns_runtime = False  # scope called make_runtime/make_apu
-
-    # -- reporting -----------------------------------------------------
-
-    def _add(
-        self,
-        rule: str,
-        message: str,
-        line: int,
-        hint: Optional[str] = None,
-    ) -> None:
-        """Report one finding; its severity comes from the rule
-        registry in :mod:`repro.analyze.findings`."""
-        self.findings.append(
-            make_finding(rule, message, file=self.file, line=line, hint=hint)
-        )
-
-    # -- statement walk ------------------------------------------------
-
-    def run(self, body: Sequence[ast.stmt]) -> None:
-        self._walk(body)
-        if not self.owns_runtime:
-            return  # borrowed arena: the runtime's creator owns teardown
-        for name, (line, _family) in self.allocs.items():
-            if name in self.returned or name in self.freed:
-                continue
-            self._add(
-                "lint.leaked-alloc",
-                f"allocation {name!r} is never freed in this scope",
-                line,
-                hint=f"add hipFree({name}) (or return the buffer to the "
-                "caller)",
-            )
-
-    def _walk(self, body: Sequence[ast.stmt]) -> None:
-        for stmt in body:
-            self._statement(stmt)
-
-    def _statement(self, stmt: ast.stmt) -> None:
-        if isinstance(
-            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            return  # nested scopes are linted separately
-        if isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                self.returned.update(
-                    n.id for n in ast.walk(stmt.value) if isinstance(n, ast.Name)
-                )
-                self._expression(stmt.value)
-            return
-        if isinstance(stmt, ast.Assign):
-            self._expression(stmt.value)
-            self._assignment(stmt.targets, stmt.value)
-            return
-        if isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            self._expression(stmt.value)
-            self._assignment([stmt.target], stmt.value)
-            return
-        # Compound statements: walk headers, then bodies in order.
-        for expr in self._header_expressions(stmt):
-            self._expression(expr)
-        for field in ("body", "orelse", "finalbody"):
-            self._walk(getattr(stmt, field, []) or [])
-        for handler in getattr(stmt, "handlers", []) or []:
-            self._walk(handler.body)
-
-    @staticmethod
-    def _header_expressions(stmt: ast.stmt) -> List[ast.expr]:
-        exprs: List[ast.expr] = []
-        for field in ("value", "test", "iter", "exc", "msg"):
-            node = getattr(stmt, field, None)
-            if isinstance(node, ast.expr):
-                exprs.append(node)
-        for item in getattr(stmt, "items", []) or []:
-            exprs.append(item.context_expr)
-        return exprs
-
-    # -- assignments ---------------------------------------------------
-
-    def _assignment(
-        self, targets: Sequence[ast.expr], value: ast.expr
-    ) -> None:
-        pairs: List[Tuple[ast.expr, ast.expr]] = []
-        for target in targets:
-            if (
-                isinstance(target, ast.Tuple)
-                and isinstance(value, ast.Tuple)
-                and len(target.elts) == len(value.elts)
-            ):
-                pairs.extend(zip(target.elts, value.elts))
-            else:
-                pairs.append((target, value))
-        for target, val in pairs:
-            if not isinstance(target, ast.Name):
-                continue
-            name = target.id
-            family = self._alloc_family(val)
-            if family is None:
-                # Rebinding to something else ends the old buffer's story.
-                self.allocs.pop(name, None)
-                self.freed.pop(name, None)
-                continue
-            previous = self.families.get(name)
-            if (
-                previous is not None
-                and previous != family
-                and {previous, family} == {"explicit", "managed"}
-            ):
-                self._add(
-                    "lint.mixed-model",
-                    f"buffer {name!r} is allocated through both the "
-                    f"{previous} and {family} memory models",
-                    val.lineno,
-                    hint="pick one model per logical buffer; mixing them "
-                    "hides copies and defeats the unified-memory port",
-                )
-            self.families[name] = family
-            self.allocs[name] = (val.lineno, family)
-            self.freed.pop(name, None)
-
-    @staticmethod
-    def _alloc_family(value: ast.expr) -> Optional[str]:
-        if not isinstance(value, ast.Call):
-            return None
-        name = _call_name(value)
-        if name in ALLOC_FAMILIES:
-            return ALLOC_FAMILIES[name]
-        if name == "array":
-            return _array_family(value)
-        if name == "hipHostRegister":
-            return "explicit"
-        return None
-
-    # -- expressions ---------------------------------------------------
-
-    def _expression(self, expr: ast.expr) -> None:
-        # Call targets are reported by _call; skip them in the
-        # name/attribute passes so one misuse yields one finding.
-        func_nodes = {
-            id(node.func)
-            for node in ast.walk(expr)
-            if isinstance(node, ast.Call)
-        }
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Call):
-                self._call(node)
-            elif isinstance(node, ast.Attribute):
-                self._attribute(node, is_call_target=id(node) in func_nodes)
-            elif isinstance(node, ast.Name) and id(node) not in func_nodes:
-                self._name(node)
-
-    def _call(self, node: ast.Call) -> None:
-        name = _call_name(node)
-        if name is None:
-            return
-        if name in DEPRECATED_APIS:
-            self._add(
-                "lint.deprecated-api",
-                f"{name} is a deprecated API name",
-                node.lineno,
-                hint=f"use {DEPRECATED_APIS[name]} instead",
-            )
+def _api_findings(tree: ast.Module, file: str) -> List[Finding]:
+    """``unknown-api`` / ``deprecated-api`` findings for one file."""
+    defined, known = _defined_names(tree), known_hip_api()
+    # Call targets are reported as calls; skip them in the name and
+    # attribute checks so one misuse yields one finding.
+    targets = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    findings: List[Finding] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name, what = call_name(node), "API"
+        elif isinstance(node, ast.Attribute) and id(node) not in targets:
+            name, what = node.attr, "name"
         elif (
-            _HIP_NAME.match(name)
-            and name not in known_hip_api()
-            and name not in self.defined
-        ):
-            self._add(
-                "lint.unknown-api",
-                f"{name} is not a HIP API this runtime provides",
-                node.lineno,
-                hint="see dir(repro.runtime.HipRuntime) for the supported "
-                "surface",
-            )
-        if name not in FREE_CALLS:  # double frees reported as double-free
-            for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                if isinstance(arg, ast.Name) and arg.id in self.freed:
-                    self._add(
-                        "lint.use-after-free",
-                        f"{arg.id!r} is used after hipFree "
-                        f"(freed at line {self.freed[arg.id]})",
-                        node.lineno,
-                        hint="free after the last use, or reallocate",
-                    )
-        if name in RUNTIME_FACTORIES:
-            self.owns_runtime = True
-        if name in FREE_CALLS:
-            self._free(node)
-        elif name in ASYNC_CALLS:
-            if self.pending_async is None:
-                self.pending_async = node.lineno
-        elif name in SYNC_CALLS:
-            self.pending_async = None
-        elif name in HOST_COMPUTE_CALLS and self.pending_async is not None:
-            self._add(
-                "lint.missing-sync",
-                f"host compute while asynchronous work from line "
-                f"{self.pending_async} may still be in flight",
-                node.lineno,
-                hint="call hipDeviceSynchronize / hipStreamSynchronize "
-                "before touching shared buffers on the host",
-            )
-
-    def _free(self, node: ast.Call) -> None:
-        arg = _first_arg_name(node)
-        if arg is not None and arg in self.freed:
-            self._add(
-                "lint.double-free",
-                f"{arg!r} is freed twice (first at line {self.freed[arg]})",
-                node.lineno,
-                hint="remove the second hipFree or rebind the name first",
-            )
-            return
-        if self.pending_async is not None:
-            self._add(
-                "lint.free-before-sync",
-                "hipFree while asynchronous work from line "
-                f"{self.pending_async} may still be in flight",
-                node.lineno,
-                hint="synchronize before freeing buffers kernels or async "
-                "copies may still touch",
-            )
-        if arg is not None:
-            self.freed[arg] = node.lineno
-
-    def _attribute(
-        self, node: ast.Attribute, is_call_target: bool = False
-    ) -> None:
-        if (
-            not is_call_target
-            and _HIP_NAME.match(node.attr)
-            and node.attr not in known_hip_api()
-            and node.attr not in DEPRECATED_APIS
-            and node.attr not in self.defined
-        ):
-            self._add(
-                "lint.unknown-api",
-                f"{node.attr} is not a HIP name this runtime provides",
-                node.lineno,
-            )
-        if not isinstance(node.value, ast.Name):
-            return
-        base = node.value.id
-        if base in self.freed:
-            self._add(
-                "lint.use-after-free",
-                f"{base!r} is used after hipFree "
-                f"(freed at line {self.freed[base]})",
-                node.lineno,
-                hint="free after the last use, or reallocate",
-            )
-        elif (
-            node.attr == "np"
-            and base in self.allocs
-            and self.pending_async is not None
-        ):
-            self._add(
-                "lint.missing-sync",
-                f"host access to {base!r}.np while asynchronous work from "
-                f"line {self.pending_async} may still be in flight",
-                node.lineno,
-                hint="synchronize before reading or writing the buffer on "
-                "the host",
-            )
-
-    def _name(self, node: ast.Name) -> None:
-        if (
-            _HIP_NAME.match(node.id)
-            and node.id not in known_hip_api()
-            and node.id not in DEPRECATED_APIS
-            and node.id not in self.defined
+            isinstance(node, ast.Name)
+            and id(node) not in targets
             and isinstance(node.ctx, ast.Load)
         ):
-            self._add(
+            name, what = node.id, "name"
+        else:
+            continue
+        if name in DEPRECATED_APIS:
+            if what == "API":
+                findings.append(make_finding(
+                    "lint.deprecated-api",
+                    f"{name} is a deprecated API name",
+                    file=file, line=node.lineno,
+                    hint=f"use {DEPRECATED_APIS[name]} instead",
+                ))
+        elif (
+            name
+            and _HIP_NAME.match(name)
+            and name not in known
+            and name not in defined
+        ):
+            findings.append(make_finding(
                 "lint.unknown-api",
-                f"{node.id} is not a HIP name this runtime provides",
-                node.lineno,
-            )
+                f"{name} is not a HIP {what} this runtime provides",
+                file=file, line=node.lineno,
+                hint="see dir(repro.runtime.HipRuntime) for the supported "
+                "surface" if what == "API" else None,
+            ))
+    return findings
 
 
 # ----------------------------------------------------------------------
@@ -480,12 +134,8 @@ def lint_source(source: str, file: str = "<string>") -> List[Finding]:
                 line=exc.lineno,
             )
         ]
-    defined = _defined_names(tree)
-    findings: List[Finding] = []
-    _ScopeLinter(file, defined, findings).run(tree.body)
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            _ScopeLinter(file, defined, findings).run(node.body)
+    findings = _api_findings(tree, file) + lint_tree(tree, file)
+    findings.sort(key=lambda f: (f.line or 0, f.rule, f.message))
     return findings
 
 
@@ -495,28 +145,11 @@ def lint_file(path: Path | str) -> List[Finding]:
     return lint_source(path.read_text(encoding="utf-8"), file=str(path))
 
 
-def _excluded(path: Path, excludes: Iterable[str]) -> bool:
-    resolved = path.resolve().as_posix()
-    for entry in excludes:
-        cleaned = entry.strip().lstrip("./")
-        if not cleaned:
-            continue
-        if resolved.endswith("/" + cleaned) or path.name == cleaned:
-            return True
-    return False
-
-
 def lint_paths(
     paths: Iterable[Path | str], exclude: Iterable[str] = ()
 ) -> List[Finding]:
     """Lint every ``.py`` file under *paths* (files or directories)."""
-    excludes = list(exclude)
     findings: List[Finding] = []
-    for entry in paths:
-        entry = Path(entry)
-        files = sorted(entry.rglob("*.py")) if entry.is_dir() else [entry]
-        for file in files:
-            if _excluded(file, excludes):
-                continue
-            findings.extend(lint_file(file))
+    for file in python_files(paths, exclude):
+        findings.extend(lint_file(file))
     return findings

@@ -6,8 +6,10 @@ Every point result is stored as one JSON file keyed by
 
 so a re-run (or a resumed sweep) recomputes nothing that is already on
 disk, and any change to the code, the spec, or the point parameters
-misses cleanly.  Payloads are JSON-normalised before first use, so a
-warm hit is bit-identical to the cold computation.
+misses cleanly.  The code version hashes the package's source files
+themselves, so an edit misses the cache whether or not it is committed.
+Payloads are JSON-normalised before first use, so a warm hit is
+bit-identical to the cold computation.
 
 The default location is ``$REPRO_CACHE_DIR`` or ``~/.cache/repro/exp``;
 ``repro run --no-cache`` bypasses it and ``--refresh`` overwrites it.
@@ -18,48 +20,43 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import subprocess
 from pathlib import Path
 from typing import Any, Dict, Optional
 
 from .spec import canonical_json
 
+#: The ``repro`` package directory whose sources the code version hashes.
+PACKAGE_ROOT = Path(__file__).resolve().parent.parent
+
 _CODE_VERSION: Optional[str] = None
+
+
+def source_digest() -> str:
+    """sha256 over the relative path and bytes of every ``.py`` file
+    under :data:`PACKAGE_ROOT`, in sorted order."""
+    digest = hashlib.sha256()
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        data = path.read_bytes()
+        name = path.relative_to(PACKAGE_ROOT).as_posix()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def code_version() -> str:
     """Version string for cache keys and artifact provenance.
 
-    The git commit SHA when running from a checkout, else the package
-    version.  ``$REPRO_CODE_VERSION`` overrides both (hermetic tests,
-    builds without git metadata).
+    The :func:`source_digest` of the running package, computed once per
+    process; ``$REPRO_CODE_VERSION`` overrides it (hermetic tests).
+    Artifacts record it in their ``git_sha`` provenance field.
     """
     global _CODE_VERSION
     override = os.environ.get("REPRO_CODE_VERSION")
     if override:
         return override
     if _CODE_VERSION is None:
-        _CODE_VERSION = _detect_code_version()
+        _CODE_VERSION = source_digest()
     return _CODE_VERSION
-
-
-def _detect_code_version() -> str:
-    here = Path(__file__).resolve()
-    try:
-        sha = subprocess.run(
-            ["git", "-C", str(here.parent), "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-        )
-        if sha.returncode == 0 and sha.stdout.strip():
-            return sha.stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        pass
-    try:
-        from importlib.metadata import version
-
-        return f"repro-{version('repro')}"
-    except Exception:
-        return "repro-unknown"
 
 
 def default_cache_dir() -> Path:

@@ -221,7 +221,8 @@ class Engine:
     refresh:
         Recompute every point and overwrite cache entries.
     version:
-        Code-version string for cache keys (defaults to the git SHA).
+        Code-version string for cache keys (defaults to the source
+        digest, :func:`~repro.exp.cache.code_version`).
     point_timeout_s:
         Optional wall-clock budget per point; an overrunning point is
         recorded as a failure (``PointTimeoutError`` traceback) instead

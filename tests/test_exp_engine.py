@@ -411,3 +411,47 @@ class TestCacheIntegrity:
         path.write_text(json.dumps(legacy, sort_keys=True))
         assert cache.get(self.KEY) == legacy
         assert cache.quarantined == 0
+
+
+class TestSourceDigestCacheKey:
+    """The cache key follows the source files, not the last commit."""
+
+    def test_uncommitted_source_edit_misses_the_cache(
+        self, tmp_path, monkeypatch
+    ):
+        import shutil
+
+        from repro.exp import cache as cache_module
+
+        # A private copy of the package stands in for a working tree
+        # whose edit was never committed.
+        tree = tmp_path / "repro"
+        shutil.copytree(
+            cache_module.PACKAGE_ROOT, tree,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        monkeypatch.delenv("REPRO_CODE_VERSION", raising=False)
+        monkeypatch.setattr(cache_module, "PACKAGE_ROOT", tree)
+        monkeypatch.setattr(cache_module, "_CODE_VERSION", None)
+        cache = ResultCache(tmp_path / "cache")
+        with temporarily_registered(SQUARES):
+            Engine(cache=cache).run("squares")
+            warm = Engine(cache=cache)
+            warm.run("squares")
+            assert warm.executed_points == 0
+
+            module = tree / "exp" / "experiments.py"
+            module.write_text(module.read_text() + "# edited\n")
+            # A new process recomputes the version from the edited tree.
+            monkeypatch.setattr(cache_module, "_CODE_VERSION", None)
+            edited = Engine(cache=cache)
+            edited.run("squares")
+        assert edited.executed_points == 3
+        assert edited.version == cache_module.source_digest()
+
+    def test_code_version_is_the_source_digest(self, monkeypatch):
+        from repro.exp import cache as cache_module
+
+        monkeypatch.delenv("REPRO_CODE_VERSION", raising=False)
+        monkeypatch.setattr(cache_module, "_CODE_VERSION", None)
+        assert cache_module.code_version() == cache_module.source_digest()
