@@ -1,6 +1,6 @@
 """Correctness and performance tooling for the simulated HIP runtime.
 
-Three cooperating passes over programs written against
+Four cooperating passes over programs written against
 :mod:`repro.runtime`:
 
 * **hipsan**, a dynamic happens-before sanitizer
@@ -10,6 +10,11 @@ Three cooperating passes over programs written against
   event log for CPU↔GPU races on unified pages, unsynchronized D2H
   reads, races with in-flight ``hipMemcpyAsync``, lifetime violations
   through ``hipFree``, and XNACK-off fatal accesses.
+
+* a **porting report** (:mod:`repro.analyze.porting_report`): reads
+  the same event log for what a unified port would remove — duplicated
+  host/device buffer pairs and their copies, dead allocations and
+  fault-dominated GPU kernels.
 
 * a **static performance advisor** (:mod:`repro.analyze.advise`):
   ``python -m repro advise <paths|--apps>`` runs a CFG + dataflow
@@ -25,10 +30,10 @@ Three cooperating passes over programs written against
   checks on the advisor's dataflow — one static engine, path- and
   loop-sensitive, without running anything.
 
-All passes report :class:`~repro.analyze.findings.Finding` records
-whose severities come from the shared rule registry
-(:data:`~repro.analyze.findings.RULES`), rendered by the common
-text/JSON/SARIF reporters.
+hipsan, the advisor and the linter report
+:class:`~repro.analyze.findings.Finding` records whose severities come
+from the shared rule registry (:data:`~repro.analyze.findings.RULES`),
+rendered by the common text/JSON/SARIF reporters.
 """
 
 from .advise import (

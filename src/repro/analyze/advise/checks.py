@@ -59,6 +59,15 @@ def _buf_label(origins: Iterable[Origin]) -> str:
     return ", ".join(labels) if labels else "an unresolved buffer"
 
 
+def _sorted(origins: Iterable[Origin]) -> List[Origin]:
+    """Origins in a hash-independent order, so ties in :func:`_add`
+    resolve the same way under any ``PYTHONHASHSEED``."""
+    return sorted(
+        origins,
+        key=lambda o: (o.line, o.family, o.name, o.size_bytes or -1),
+    )
+
+
 def _known_size(origins: Iterable[Origin]) -> Optional[int]:
     sizes = {o.size_bytes for o in origins if o.size_bytes is not None}
     if len(sizes) == 1:
@@ -221,7 +230,7 @@ def _check_tlb_reach(
 ) -> None:
     """Fig. 9 / §5.3: an allocation larger than the L2 TLB's reach for
     its allocator's fragment size thrashes the TLB when streamed."""
-    for origin in resolved_origins(ev.buf):
+    for origin in _sorted(resolved_origins(ev.buf)):
         if origin.size_bytes is None:
             return
         if origin.up_front:

@@ -86,12 +86,9 @@ class RodiniaApp(abc.ABC):
     #: Variant labels this app supports.
     variants: Tuple[str, ...] = ("explicit", "unified")
 
-    #: Event log of the most recent traced run (``run(trace=True)``),
-    #: consumed by the hipsan regression sweep.
-    last_trace = None
-
     #: APU of the most recent run, kept so the chaos harness can check
-    #: post-run invariants (leaked frames, page-table consistency).
+    #: post-run invariants (leaked frames, page-table consistency) and
+    #: traced runs can be analysed through its ``trace`` event log.
     last_apu = None
 
     #: Map from port model to the method names implementing it, used by
@@ -140,10 +137,10 @@ class RodiniaApp(abc.ABC):
     ) -> AppResult:
         """Run one variant on a fresh APU and collect the Fig. 11 metrics.
 
-        With ``trace=True`` the runtime records a hipsan event log,
-        available afterwards as :attr:`last_trace`.  *inject* attaches
-        an :class:`~repro.inject.InjectionPlan` to the run's APU (the
-        chaos harness's entry point); the APU itself stays reachable as
+        With ``trace=True`` the runtime records an event log, available
+        afterwards as ``last_apu.trace``.  *inject* attaches an
+        :class:`~repro.inject.InjectionPlan` to the run's APU (the chaos
+        harness's entry point); the APU stays reachable as
         :attr:`last_apu` for post-run invariant checks.
         """
         if variant not in self.variants:
@@ -161,7 +158,6 @@ class RodiniaApp(abc.ABC):
             memory_gib, xnack=self.needs_xnack(variant), seed=seed,
             trace=trace, inject=inject,
         )
-        self.last_trace = runtime.apu.trace
         self.last_apu = runtime.apu
         apu = runtime.apu
         profiler = MemoryUsageProfiler(apu)

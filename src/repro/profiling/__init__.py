@@ -5,27 +5,13 @@ rocprofv3 GPU counters, perf-stat CPU events, and libnuma usage sampling.
 from .memusage import MemoryUsageProfiler, UsageTimeline
 from .perfstat import PerfStat, PerfStatReport
 from .rocprof import COUNTER_MAP, ProfileRegion, RocProf
-from .tracer import (
-    AdvisorReport,
-    DuplicationFinding,
-    EventKind,
-    MemoryTracer,
-    PortingAdvisor,
-    TraceEvent,
-)
 
 __all__ = [
-    "AdvisorReport",
     "COUNTER_MAP",
-    "DuplicationFinding",
-    "EventKind",
-    "MemoryTracer",
     "MemoryUsageProfiler",
     "PerfStat",
     "PerfStatReport",
-    "PortingAdvisor",
     "ProfileRegion",
     "RocProf",
-    "TraceEvent",
     "UsageTimeline",
 ]

@@ -2,7 +2,11 @@
 
 import ast
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -640,3 +644,20 @@ class TestAdviseCli:
         main(["advise", str(path), "--format", "json"])
         parsed = json.loads(capsys.readouterr().out)
         assert any(f["rule"] == "advise.redundant-copy" for f in parsed)
+
+    def test_output_independent_of_hash_seed(self):
+        # quickstart.py allocates from several allocators at one line;
+        # the tlb-reach tie between them must not follow set order.
+        root = Path(__file__).resolve().parents[1]
+        outputs = set()
+        for seed in ("0", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=str(root / "src"))
+            run = subprocess.run(
+                [sys.executable, "-m", "repro", "advise",
+                 "examples/quickstart.py", "--format", "json"],
+                cwd=root, env=env, capture_output=True, check=False,
+            )
+            outputs.add(run.stdout)
+        assert len(outputs) == 1
+        assert b"advise.tlb-reach" in outputs.pop()
