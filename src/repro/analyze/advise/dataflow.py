@@ -110,6 +110,19 @@ def call_name(expr: ast.Call) -> Optional[str]:
     return None
 
 
+def _freed_name(expr: ast.Call) -> str:
+    """The handle a free call releases: ``x`` for ``hipFree(x)`` and for
+    ``hipFree(x.allocation)``, the view the runtime's arrays expose."""
+    arg = expr.args[0] if expr.args else None
+    if (
+        isinstance(arg, ast.Attribute)
+        and arg.attr == "allocation"
+        and isinstance(arg.value, ast.Name)
+    ):
+        arg = arg.value
+    return arg.id if isinstance(arg, ast.Name) else ""
+
+
 @dataclass(frozen=True)
 class LaunchAccess:
     """One kernel argument at a launch, with its state at that point."""
@@ -344,10 +357,15 @@ class _Interp:
         root = node.stmt if node.kind == "stmt" else node.expr
         if root is None:
             return
+        # A free's argument is not a use: a second free is a double free.
+        freeing: Set[int] = set()
         for sub in ast.walk(root):
+            if id(sub) in freeing:
+                continue
             if isinstance(sub, ast.Call):
                 if call_name(sub) in FREE_CALLS:
-                    continue  # a second free is a double free, not a use
+                    freeing.update(map(id, sub.args))
+                    continue
                 for arg in [*sub.args, *(k.value for k in sub.keywords)]:
                     if isinstance(arg, ast.Name):
                         self._use(arg.id, sub, state)
@@ -890,8 +908,7 @@ class _Interp:
 
     def _free(self, expr: ast.Call, state: AbsState) -> object:
         self._eval_args(expr, state)
-        arg = expr.args[0] if expr.args else None
-        name = arg.id if isinstance(arg, ast.Name) else ""
+        name = _freed_name(expr)
         line = self._line(expr)
         self._record(
             "free", line, name=name, freed=state.freed_lines(name),

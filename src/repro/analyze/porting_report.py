@@ -70,11 +70,10 @@ class AdvisorReport:
     copy_time_ns: float = 0.0
     kernel_time_ns: float = 0.0
     fault_dominated_kernels: List[str] = field(default_factory=list)
-
-    @property
-    def potential_memory_saving_bytes(self) -> int:
-        """Total bytes recoverable by unifying all duplicated pairs."""
-        return sum(f.memory_saving_bytes for f in self.duplicated_pairs)
+    #: Bytes recoverable by unifying all duplicated pairs.  Each host
+    #: buffer counts once, however many device buffers it pairs with:
+    #: unifying drops the host side, not one buffer per pair.
+    potential_memory_saving_bytes: int = 0
 
     @property
     def copy_fraction(self) -> float:
@@ -181,6 +180,9 @@ def porting_report(log: Iterable[RuntimeEvent]) -> AdvisorReport:
             for (host, device), (count, time_ns) in pairs.items()
         ),
         key=lambda f: (f.host_buffer, f.device_buffer),
+    )
+    report.potential_memory_saving_bytes = sum(
+        allocs[host]["size"] for host in {host for host, _ in pairs}
     )
     report.dead_allocations = [
         name(uid) for uid in allocs if uid not in accessed

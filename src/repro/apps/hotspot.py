@@ -12,13 +12,13 @@ of Fig. 11: competitive time, duplicated grids merged.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
 
 from ..runtime.hip import HipRuntime
 from ..runtime.kernels import BufferAccess, KernelSpec
-from .common import RodiniaApp, simulate_io
+from .common import RodiniaApp, block_buffers, neighbour_blocks, simulate_io
 
 #: Physical constants of the Rodinia implementation (scaled).
 CAP, RX, RY, RZ = 0.5, 1.0, 1.0, 4.75
@@ -28,19 +28,38 @@ AMB_TEMP = 80.0
 CELL_NS = 0.02
 
 
-def _stencil_step(temp: np.ndarray, power: np.ndarray) -> np.ndarray:
-    """One numerically real hotspot update (edge cells clamp outward)."""
-    north = np.vstack([temp[:1], temp[:-1]])
-    south = np.vstack([temp[1:], temp[-1:]])
-    west = np.hstack([temp[:, :1], temp[:, :-1]])
-    east = np.hstack([temp[:, 1:], temp[:, -1:]])
-    delta = (CAP) * (
-        power
-        + (south + north - 2.0 * temp) / RY
-        + (east + west - 2.0 * temp) / RX
-        + (AMB_TEMP - temp) / RZ
-    )
-    return temp + delta * 0.001
+def _stencil_step(
+    temp: np.ndarray,
+    power: np.ndarray,
+    out: np.ndarray,
+    scratch: List[np.ndarray],
+) -> None:
+    """One numerically real hotspot update of *temp* into *out*.
+
+    Edge cells clamp outward.  Per row block this evaluates, operation
+    by operation, ``temp + CAP * (power + (south + north - 2 temp) / RY
+    + (east + west - 2 temp) / RX + (AMB_TEMP - temp) / RZ) * 0.001``;
+    *scratch* is five :func:`block_buffers` of *temp*.
+    """
+    north, south, west, east, twice = scratch
+    for rows, n, s, w, e in neighbour_blocks(temp, north, south, west, east):
+        t = temp[rows]
+        t2 = np.multiply(t, 2.0, out=twice[: len(t)])
+        # s accumulates delta; e holds the term added next.
+        np.add(s, n, out=s)
+        np.subtract(s, t2, out=s)
+        np.divide(s, RY, out=s)
+        np.add(power[rows], s, out=s)
+        np.add(e, w, out=e)
+        np.subtract(e, t2, out=e)
+        np.divide(e, RX, out=e)
+        np.add(s, e, out=s)
+        np.subtract(AMB_TEMP, t, out=e)
+        np.divide(e, RZ, out=e)
+        np.add(s, e, out=s)
+        np.multiply(s, CAP, out=s)
+        np.multiply(s, 0.001, out=s)
+        np.add(t, s, out=out[rows])
 
 
 class Hotspot(RodiniaApp):
@@ -89,10 +108,13 @@ class Hotspot(RodiniaApp):
 
     def _iterate(self, runtime, temp_np, power_np, iterations: int,
                  spec_ab: KernelSpec, spec_ba: KernelSpec) -> np.ndarray:
+        grids = (np.empty_like(temp_np), np.empty_like(temp_np))
+        scratch = block_buffers(temp_np, 5)
         result = temp_np
         for i in range(iterations):
             runtime.launchKernel(spec_ab if i % 2 == 0 else spec_ba)
-            result = _stencil_step(result, power_np)
+            _stencil_step(result, power_np, grids[i % 2], scratch)
+            result = grids[i % 2]
         runtime.hipDeviceSynchronize()
         return result
 

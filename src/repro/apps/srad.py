@@ -13,14 +13,14 @@ is safe to share because the host synchronises before reading it.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
 
 from ..porting.strategies import StackFlag
 from ..runtime.hip import HipRuntime
 from ..runtime.kernels import BufferAccess, KernelSpec
-from .common import RodiniaApp, simulate_io
+from .common import RodiniaApp, block_buffers, neighbour_blocks, simulate_io
 
 #: Diffusion coefficient scale of the Rodinia code.
 LAMBDA = 0.5
@@ -30,27 +30,54 @@ LAMBDA = 0.5
 PIXEL_NS = 0.15
 
 
-def _srad_iteration(image: np.ndarray) -> np.ndarray:
-    """One numerically real SRAD update (reflecting boundaries)."""
-    north = np.vstack([image[:1], image[:-1]])
-    south = np.vstack([image[1:], image[-1:]])
-    west = np.hstack([image[:, :1], image[:, :-1]])
-    east = np.hstack([image[:, 1:], image[:, -1:]])
+def _srad_iteration(
+    image: np.ndarray, out: np.ndarray, scratch: List[np.ndarray]
+) -> None:
+    """One numerically real SRAD update of *image* into *out*.
 
+    Edge pixels clamp outward.  The image statistics for q0 come from
+    the whole array first (numpy's pairwise sums depend on the memory
+    layout, so they are never taken blockwise); the element-wise update
+    then runs per row block, operation by operation in the order of
+    ``image + (LAMBDA / 4) * coeff * grad``.  *scratch* is six
+    :func:`block_buffers` of *image*.
+    """
     mean = image.mean()
     var = image.var()
     q0_sq = var / (mean * mean + 1e-12)
+    q0_scale = q0_sq * (1.0 + q0_sq) + 1e-12
 
-    grad = north + south + east + west - 4.0 * image
-    num = (north - image) ** 2 + (south - image) ** 2
-    num += (east - image) ** 2 + (west - image) ** 2
-    denom = image * image + 1e-12
-    q_sq = (0.5 * num / denom - (0.0625 * (grad / image) ** 2)) / (
-        (1.0 + 0.25 * grad / image) ** 2 + 1e-12
-    )
-    coeff = 1.0 / (1.0 + (q_sq - q0_sq) / (q0_sq * (1.0 + q0_sq) + 1e-12))
-    coeff = np.clip(coeff, 0.0, 1.0)
-    return image + (LAMBDA / 4.0) * coeff * grad
+    north, south, west, east, grad, tmp = scratch
+    for rows, n, s, w, e in neighbour_blocks(image, north, south, west, east):
+        i = image[rows]
+        g, t = grad[: len(i)], tmp[: len(i)]
+        # grad = north + south + east + west - 4 image
+        np.add(n, s, out=g)
+        np.add(g, e, out=g)
+        np.add(g, w, out=g)
+        np.subtract(g, np.multiply(i, 4.0, out=t), out=g)
+        # num = (n - i)^2 + (s - i)^2 + ((e - i)^2 + (w - i)^2), into n
+        for d in (n, s, e, w):
+            np.square(np.subtract(d, i, out=d), out=d)
+        np.add(n, s, out=n)
+        np.add(e, w, out=e)
+        np.add(n, e, out=n)
+        # q_sq = (0.5 num / denom - 0.0625 (grad / i)^2)
+        #        / ((1 + 0.25 grad / i)^2 + 1e-12), into n
+        np.add(np.multiply(i, i, out=t), 1e-12, out=t)  # denom
+        np.multiply(n, 0.5, out=n)
+        np.divide(n, t, out=n)
+        np.square(np.divide(g, i, out=t), out=t)
+        np.subtract(n, np.multiply(t, 0.0625, out=t), out=n)
+        np.divide(np.multiply(g, 0.25, out=t), i, out=t)
+        np.square(np.add(t, 1.0, out=t), out=t)
+        np.divide(n, np.add(t, 1e-12, out=t), out=n)
+        # coeff = clip(1 / (1 + (q_sq - q0_sq) / q0_scale), 0, 1), into n
+        np.divide(np.subtract(n, q0_sq, out=n), q0_scale, out=n)
+        np.divide(1.0, np.add(n, 1.0, out=n), out=n)
+        np.clip(n, 0.0, 1.0, out=n)
+        np.multiply(np.multiply(n, LAMBDA / 4.0, out=n), g, out=n)
+        np.add(i, n, out=out[rows])
 
 
 class SradV1(RodiniaApp):
@@ -110,7 +137,8 @@ class SradV1(RodiniaApp):
         d_stats = runtime.array(2, np.float32, "hipMalloc")
         profiler.sample()
 
-        result = h_image.np.astype(np.float64)
+        result, spare = h_image.np.astype(np.float64), np.empty((dim, dim))
+        scratch = block_buffers(result, 6)
         with apu.clock.region("compute"):
             runtime.hipMemcpy(d_image, h_image)
             prepare, update = self._iteration_kernels(
@@ -121,9 +149,10 @@ class SradV1(RodiniaApp):
                 runtime.hipMemcpy(h_stats, d_stats)
                 runtime.launchKernel(prepare)
                 runtime.launchKernel(update)
-                result = _srad_iteration(result)
+                _srad_iteration(result, spare, scratch)
+                result, spare = spare, result
             runtime.hipDeviceSynchronize()
-            d_image.np[:] = result.astype(np.float32)
+            d_image.np[:] = result
             runtime.hipMemcpy(h_image, d_image)
             profiler.sample()
         simulate_io(apu, h_image.nbytes)
@@ -136,7 +165,8 @@ class SradV1(RodiniaApp):
         coeff = runtime.array((dim, dim), np.float32, "hipMalloc")
         profiler.sample()
 
-        result = image.np.astype(np.float64)
+        result, spare = image.np.astype(np.float64), np.empty((dim, dim))
+        scratch = block_buffers(result, 6)
         with apu.clock.region("compute"):
             prepare, update = self._iteration_kernels(
                 image.allocation, coeff.allocation, dim
@@ -149,13 +179,14 @@ class SradV1(RodiniaApp):
                 while continue_flag.read() and i < iterations:
                     runtime.launchKernel(prepare)
                     kernel = runtime.launchKernel(update)
-                    result = _srad_iteration(result)
+                    _srad_iteration(result, spare, scratch)
+                    result, spare = spare, result
                     i += 1
                     continue_flag.gpu_write(
                         1.0 if i < iterations else 0.0
                     )
                 runtime.hipDeviceSynchronize()
-            image.np[:] = result.astype(np.float32)
+            image.np[:] = result
             profiler.sample()
         simulate_io(apu, image.nbytes)
         return float(image.np.mean())

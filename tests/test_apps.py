@@ -26,6 +26,26 @@ SMALL = {
     "srad_v1": {"dim": 256, "iterations": 6},
 }
 
+#: float.hex of every app/variant checksum on SMALL, recorded before the
+#: host kernels were row-blocked: any last-bit drift, even one shared by
+#: all variants, fails TestCorrectness.test_checksums_pinned.
+PINNED_CHECKSUMS = {
+    ("backprop", "explicit"): "0x1.ffbcec0000000p+17",
+    ("backprop", "unified"): "0x1.ffbcec0000000p+17",
+    ("dwt2d", "explicit"): "0x1.094f220000000p+25",
+    ("dwt2d", "unified"): "0x1.094f220000000p+25",
+    ("heartwall", "explicit"): "0x1.0740000000000p+12",
+    ("heartwall", "unified-v1"): "0x1.0740000000000p+12",
+    ("heartwall", "unified-v2"): "0x1.0740000000000p+12",
+    ("hotspot", "explicit"): "0x1.44c0480000000p+8",
+    ("hotspot", "unified"): "0x1.44c0480000000p+8",
+    ("nn", "explicit"): "0x1.f9faa80000000p-1",
+    ("nn", "unified"): "0x1.f9faa80000000p-1",
+    ("nn", "unified-hipalloc"): "0x1.f9faa80000000p-1",
+    ("srad_v1", "explicit"): "0x1.c076060000000p+0",
+    ("srad_v1", "unified"): "0x1.c076060000000p+0",
+}
+
 
 @pytest.fixture(scope="module")
 def results():
@@ -65,6 +85,14 @@ class TestCorrectness:
                 assert result.checksum == pytest.approx(baseline, rel=1e-6), (
                     f"{name}/{variant} diverged from the explicit model"
                 )
+
+    def test_checksums_pinned(self, results):
+        actual = {
+            (name, variant): result.checksum.hex()
+            for name, by_variant in results.items()
+            for variant, result in by_variant.items()
+        }
+        assert actual == PINNED_CHECKSUMS
 
     def test_checksums_nontrivial(self, results):
         for name, by_variant in results.items():

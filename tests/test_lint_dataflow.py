@@ -156,6 +156,56 @@ class TestOneFindingPerName:
         assert messages[1].startswith("'b' is used after hipFree")
 
 
+class TestFreeThroughView:
+    """``hipFree(x.allocation)`` releases ``x``, the way the runtime's
+    arrays are freed through their allocation view."""
+
+    def test_free_through_view_is_not_a_leak(self):
+        findings = lint("""
+            def f():
+                hip = make_runtime(memory_gib=1)
+                buf = hip.array(1024, np.float32, "hipMalloc")
+                hip.hipFree(buf.allocation)
+        """)
+        assert findings == []
+
+    def test_unfreed_array_is_still_a_leak(self):
+        code = """
+            def f():
+                hip = make_runtime(memory_gib=1)
+                buf = hip.array(1024, np.float32, "hipMalloc")
+                other = hip.array(1024, np.float32, "hipMalloc")
+                hip.hipFree(other.allocation)
+        """
+        assert found(lint(code)) == {
+            ("lint.leaked-alloc", line_of(code, "buf = ")),
+        }
+
+    def test_use_after_free_through_view(self):
+        code = """
+            def f(hip):
+                buf = hip.array(1024, np.float32, "hipMalloc")
+                hip.hipFree(buf.allocation)
+                hip.hipMemcpy(buf, buf)
+                total = buf.np.sum()
+        """
+        assert found(lint(code)) == {
+            ("lint.use-after-free", line_of(code, "hipMemcpy")),
+            ("lint.use-after-free", line_of(code, "total = ")),
+        }
+
+    def test_second_free_through_view_is_only_a_double_free(self):
+        code = """
+            def f(hip):
+                buf = hip.array(1024, np.float32, "hipMalloc")
+                hip.hipFree(buf.allocation)
+                hip.hipFree(buf.allocation)
+        """
+        lines = textwrap.dedent(code).splitlines()
+        second = [i for i, text in enumerate(lines, 1) if "hipFree" in text][1]
+        assert found(lint(code)) == {("lint.double-free", second)}
+
+
 class TestNestedScopes:
     def test_nested_function_is_linted(self):
         code = """

@@ -100,6 +100,19 @@ class TestAdvisor:
         assert not report.dead_allocations
         assert report.copy_fraction == 0.0
 
+    def test_host_buffer_with_two_device_partners_counts_once(self):
+        # Copied in to one device buffer and back from another: two
+        # pairs, but unifying removes one host-sized buffer.
+        trace = _Trace()
+        trace.alloc(0.0, "b0", "h", "malloc", 4 * MiB)
+        trace.alloc(0.0, "b1", "d_in", "hipMalloc", 4 * MiB)
+        trace.alloc(0.0, "b2", "d_out", "hipMalloc", 4 * MiB)
+        trace.memcpy(100.0, "b1", "b0", 4 * MiB, 1000.0)
+        trace.memcpy(200.0, "b0", "b2", 4 * MiB, 1000.0)
+        report = porting_report(trace.log)
+        assert len(report.duplicated_pairs) == 2
+        assert report.potential_memory_saving_bytes == 4 * MiB
+
     def test_size_mismatch_not_paired(self):
         trace = _Trace()
         trace.alloc(0.0, "b0", "h", "malloc", 16 * MiB)
@@ -218,6 +231,13 @@ class TestRodiniaPorts:
             if variant != "explicit":
                 report = porting_report(log)
                 assert report.duplicated_pairs == [], (name, variant)
+
+    def test_dwt2d_image_saving_counted_once(self, rodinia_runs):
+        # The host image pairs with both device arrays; the saving is
+        # the one 4 MiB image (dim 1024, float32), not 8 MiB.
+        report = porting_report(rodinia_runs["dwt2d", "explicit"])
+        assert {f.host_buffer for f in report.duplicated_pairs} == {"image"}
+        assert report.potential_memory_saving_bytes == 4 * MiB
 
     def test_nn_fault_outlier(self, rodinia_runs):
         unified = porting_report(rodinia_runs["nn", "unified"])
