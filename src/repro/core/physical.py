@@ -22,11 +22,15 @@ bit-identically.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
 
 from ..hw.config import MI300AConfig, PAGE_SIZE
+
+#: Bins of the channel-sampling table (a power of two, so scaling is exact).
+_SAMPLE_BINS = 1 << 16
 
 
 class OutOfMemoryError(MemoryError):
@@ -105,6 +109,32 @@ class PhysicalMemory:
     def channel_weights(self) -> np.ndarray:
         """The free-list channel bias weights (for inspection/ablation)."""
         return self._channel_weights.copy()
+
+    @cached_property
+    def _residue_sampler(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(cdf, table)``: bin *b* of the table holds the residue of the
+        channel ``choice`` picks for every ``u`` in ``[b, b + 1) / bins``,
+        or ``mod`` where a cdf value lies inside the bin (MODELING.md §1)."""
+        cdf = self._channel_weights.cumsum()
+        cdf /= cdf[-1]
+        scaled = cdf * _SAMPLE_BINS  # u in bin b picks #{scaled <= b}
+        first = np.bincount(np.ceil(scaled).astype(np.intp),
+                            minlength=_SAMPLE_BINS + 1)[:_SAMPLE_BINS].cumsum()
+        mod = self._residue_modulus
+        table = self._channel_residue.astype(np.min_scalar_type(mod))[first]
+        table[np.floor(scaled[scaled % 1 != 0]).astype(np.intp)] = mod
+        return cdf, table
+
+    def _sample_residues(self, n: int) -> np.ndarray:
+        """``_channel_residue[rng.choice(channels, n, p=weights)]`` by table
+        lookup: the same draws, and the same generator state after."""
+        cdf, table = self._residue_sampler
+        u = self._rng.random(n)
+        residues = table[(u * _SAMPLE_BINS).astype(np.intp)]
+        edge = np.flatnonzero(residues == self._residue_modulus)
+        channels = cdf.searchsorted(u[edge], side="right")
+        residues[edge] = self._channel_residue[channels]
+        return residues
 
     # ------------------------------------------------------------------
     # Contiguous (up-front) allocation
@@ -257,8 +287,10 @@ class PhysicalMemory:
         """Draw *ndraws* free runs of length *run* from biased channels.
 
         Returns the flattened frame numbers (``ndraws * run`` entries) in
-        draw order.  Falls back to an exhaustive sweep if rejection
-        sampling stalls (nearly-full pool).
+        draw order.  After 64 rejection-sampling attempts the rest comes
+        from a sweep of the window's lowest free frames; that happens once
+        the heavy channels' frames in the window run out, even in a mostly
+        free pool (MODELING.md §1).
         """
         mod = self._residue_modulus
         if frame_range is None:
@@ -266,6 +298,9 @@ class PhysicalMemory:
         else:
             lo, hi = self._check_range(frame_range)
         k_lo, k_hi = -(-lo // mod), hi // mod
+        # Aligned runs starting in [k_lo, max(k_hi - 1, k_lo + 1)) * mod lie
+        # inside [lo, hi) when the window holds a whole residue period.
+        clipped = k_hi <= k_lo or mod % run != 0
         total = ndraws * run
         out = np.empty(total, dtype=np.int64)
         filled = 0
@@ -275,16 +310,15 @@ class PhysicalMemory:
             need_runs = (total - filled + run - 1) // run
             # Oversample to absorb rejections.
             n = max(int(need_runs * 1.6) + 16, 32)
-            channels = rng.choice(
-                len(self._channel_weights), size=n, p=self._channel_weights
-            )
+            residues = self._sample_residues(n)
             ks = rng.integers(k_lo, max(k_hi - 1, k_lo + 1), size=n)
-            starts = self._channel_residue[channels] + ks * mod
+            starts = residues + ks * mod
             if run > 1:
                 # Buddy order-(run) blocks are naturally aligned; keep the
                 # alignment so the driver can encode them as fragments.
                 starts &= ~np.int64(run - 1)
-            starts = starts[(starts >= lo) & (starts + run <= hi)]
+            if clipped:
+                starts = starts[(starts >= lo) & (starts + run <= hi)]
             ok = self._free[starts]
             for extra in range(1, run):
                 ok &= self._free[starts + extra]
@@ -299,7 +333,7 @@ class PhysicalMemory:
                 filled += len(frames)
             attempts += 1
         if filled < total:
-            # Pool too full for sampling: sweep for any free frames.
+            # Sampling stalled: sweep the window for the lowest free frames.
             free_idx = lo + np.flatnonzero(self._free[lo:hi])[: total - filled]
             if len(free_idx) < total - filled:
                 # Roll back the frames this draw already claimed so a

@@ -13,13 +13,13 @@ per IOD, each interleaving only across that IOD's two stacks.  The
 frame→(stack, channel) mapping stays a pure function of the frame number
 in every mode.
 
-This module provides that mapping plus per-channel traffic accounting used
-by the Infinity Cache balance model.
+This module provides that mapping plus the per-channel histogram used by
+the Infinity Cache balance model.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ class UncorrectableECCError(RuntimeError):
 
 
 class HBMSubsystem:
-    """Maps physical frames to stacks/channels and tracks traffic.
+    """Maps physical frames to stacks/channels.
 
     Args:
         geometry: the HBM organisation to model.
@@ -66,7 +66,15 @@ class HBMSubsystem:
         self._numa_domains = numa_domains
         self._frames_per_domain = total_frames // numa_domains
         self._stacks_per_domain = geometry.stacks // numa_domains
-        self._channel_bytes = np.zeros(geometry.channels, dtype=np.int64)
+        # The mapping repeats every `period` frames of a domain.  Where that
+        # tiles the domains, histograms count offsets through this table.
+        self._period = (geometry.interleave_bytes // PAGE_SIZE
+                        * self._stacks_per_domain * geometry.channels_per_stack)
+        self._period_channels = None
+        if self._frames_per_domain % self._period == 0:
+            self._period_channels = self.channels_of_frames(
+                np.arange(numa_domains)[:, None] * self._frames_per_domain
+                + np.arange(self._period)).ravel()
         # RAS counters (the `amd-smi metric --ecc` view) + fault injection.
         self.inject = None
         self.correctable_errors = 0
@@ -137,10 +145,7 @@ class HBMSubsystem:
         (one 4 KiB page per stack by default) across the owning domain's
         stacks — all of them in NPS1, the local IOD's two in NPS4.
         """
-        pages_per_unit = self._geometry.interleave_bytes // PAGE_SIZE
-        domain = frame // self._frames_per_domain
-        local_unit = (frame % self._frames_per_domain) // pages_per_unit
-        return domain + self._numa_domains * (local_unit % self._stacks_per_domain)
+        return self.channel_of_frame(frame) // self._geometry.channels_per_stack
 
     def channel_of_frame(self, frame: int) -> int:
         """Memory channel index serving physical frame number *frame*.
@@ -181,22 +186,18 @@ class HBMSubsystem:
 
     def channel_histogram(self, frames: Sequence[int]) -> np.ndarray:
         """Bytes-per-channel histogram for a set of resident frames."""
-        channels = self.channels_of_frames(frames)
-        counts = np.bincount(channels, minlength=self._geometry.channels)
+        table = self._period_channels
+        if table is None:
+            return np.bincount(self.channels_of_frames(frames),
+                               minlength=self._geometry.channels) * PAGE_SIZE
+        arr = np.asarray(frames, dtype=np.int64)
+        # arr % period, via numpy's much faster scalar floor_divide.
+        offsets = arr - arr // self._period * self._period
+        if self._numa_domains > 1:
+            offsets += arr // self._frames_per_domain * self._period
+        counts = np.zeros(self._geometry.channels, dtype=np.int64)
+        np.add.at(counts, table, np.bincount(offsets, minlength=table.size))
         return counts * PAGE_SIZE
-
-    def record_traffic(self, frames: Iterable[int], bytes_per_frame: int) -> None:
-        """Account *bytes_per_frame* of traffic to each frame's channel."""
-        for frame in frames:
-            self._channel_bytes[self.channel_of_frame(frame)] += bytes_per_frame
-
-    def traffic_bytes(self) -> np.ndarray:
-        """A copy of cumulative per-channel traffic counters."""
-        return self._channel_bytes.copy()
-
-    def reset_traffic(self) -> None:
-        """Zero all per-channel traffic counters."""
-        self._channel_bytes[:] = 0
 
     def ecc_check(self, nbytes: int) -> float:
         """Consult the injection plan for frame errors on one access.

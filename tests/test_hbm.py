@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hw.config import HBMGeometry, PAGE_SIZE, default_config
 from repro.hw.hbm import (
@@ -54,18 +55,94 @@ class TestChannelMapping:
             HBMSubsystem(geo)
 
 
-class TestTraffic:
-    def test_record_and_reset(self, hbm):
-        hbm.record_traffic([0, 1, 2], 100)
-        assert hbm.traffic_bytes().sum() == 300
-        hbm.reset_traffic()
-        assert hbm.traffic_bytes().sum() == 0
+#: Geometries for the differential tests: (geometry, NPS domain counts,
+#: whether the period table applies).  The period is
+#: ``interleave pages * stacks per domain * channels per stack``.
+GEOMETRIES = [
+    (HBMGeometry(), (1, 4), True),
+    # Period 2 * 8 * 12 = 192 (NPS1) or 48 (NPS4): not a power of two,
+    # but it still tiles the 8 * 192-frame pool.
+    (HBMGeometry(channels_per_stack=12, interleave_bytes=2 * PAGE_SIZE,
+                 stack_capacity_bytes=192 * PAGE_SIZE), (1, 4), True),
+    # 100 frames per stack: the 128-frame period does not tile the pool
+    # (NPS1) or a 200-frame domain (NPS4's period 32).
+    (HBMGeometry(stack_capacity_bytes=100 * PAGE_SIZE), (1, 4), False),
+    # 12 * 3 = 36 channels over 3 * 30 = 90 frames (period 36).
+    (HBMGeometry(stacks=3, channels_per_stack=12,
+                 stack_capacity_bytes=30 * PAGE_SIZE), (1,), False),
+]
 
-    def test_traffic_lands_on_mapped_channel(self, hbm):
-        hbm.record_traffic([0], 64)
-        traffic = hbm.traffic_bytes()
-        assert traffic[hbm.channel_of_frame(0)] == 64
-        assert traffic.sum() == 64
+CASES = [
+    pytest.param(geo, domains, table, id=f"{i}-nps{domains}")
+    for i, (geo, all_domains, table) in enumerate(GEOMETRIES)
+    for domains in all_domains
+]
+
+
+def reference_histogram(hbm, frames):
+    """Bytes per channel, one div/mod chain per frame."""
+    return np.bincount(
+        hbm.channels_of_frames(frames), minlength=hbm.geometry.channels
+    ) * PAGE_SIZE
+
+
+def edge_frames(hbm):
+    """The first and last frames of every domain and of the pool, and
+    their neighbours."""
+    total = hbm.capacity_bytes // PAGE_SIZE
+    edges = np.arange(hbm.numa_domains + 1) * hbm.frames_per_domain
+    near = (edges[:, None] + np.arange(-2, 3)).ravel()
+    return near[(near >= 0) & (near < total)]
+
+
+class TestHistogramAgainstReference:
+    @pytest.mark.parametrize("geometry, domains, table", CASES)
+    def test_fixed_frame_sets(self, geometry, domains, table):
+        hbm = HBMSubsystem(geometry, domains)
+        # The period table applies exactly when the period tiles a domain.
+        assert (hbm._period_channels is not None) == table
+        total = hbm.capacity_bytes // PAGE_SIZE
+        rng = np.random.default_rng(domains)
+        edges = edge_frames(hbm)
+        for frames in (
+            np.empty(0, dtype=np.int64),
+            [],
+            edges,
+            np.concatenate([edges, edges, edges[:3]]),  # duplicates
+            np.arange(min(total, 4096)),
+            rng.integers(0, total, 5000),
+            np.full(17, total - 1),
+        ):
+            hist = hbm.channel_histogram(frames)
+            assert hist.dtype == np.int64
+            np.testing.assert_array_equal(
+                hist, reference_histogram(hbm, frames)
+            )
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_frame_sets(self, data):
+        geometry, all_domains, _ = data.draw(st.sampled_from(GEOMETRIES))
+        hbm = HBMSubsystem(geometry, data.draw(st.sampled_from(all_domains)))
+        total = hbm.capacity_bytes // PAGE_SIZE
+        frames = data.draw(st.lists(st.integers(0, total - 1), max_size=300))
+        np.testing.assert_array_equal(
+            hbm.channel_histogram(np.array(frames, dtype=np.int64)),
+            reference_histogram(hbm, frames),
+        )
+
+    @pytest.mark.parametrize("geometry, domains, table", CASES)
+    def test_vectorised_mapping_matches_scalar(self, geometry, domains, table):
+        hbm = HBMSubsystem(geometry, domains)
+        total = hbm.capacity_bytes // PAGE_SIZE
+        frames = np.unique(np.concatenate([
+            edge_frames(hbm),
+            np.arange(min(total, 600)),
+            np.random.default_rng(0).integers(0, total, 400),
+        ]))
+        assert hbm.channels_of_frames(frames).tolist() == [
+            hbm.channel_of_frame(int(frame)) for frame in frames
+        ]
 
 
 class TestBalanceMetrics:

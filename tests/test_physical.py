@@ -1,8 +1,11 @@
 """Unit tests for the physical frame allocator (repro.core.physical)."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.hw.config import PAGE_SIZE, small_config
 from repro.hw.hbm import HBMSubsystem, channel_balance
@@ -218,3 +221,155 @@ class TestFastPathsAgainstReference:
         np.testing.assert_array_equal(
             _all_set_blocks(bits, width), bits.reshape(-1, width).all(axis=1)
         )
+
+
+def skewed_config(skew, memory_bytes=1 << 28):
+    cfg = small_config(memory_bytes)
+    return cfg.replace(
+        policy=dataclasses.replace(cfg.policy, free_list_channel_skew=skew)
+    )
+
+
+def reference_draw(phys, rng, free, ndraws, run, lo, hi):
+    """The scattered draw loop as first written: channels from
+    ``Generator.choice``, the window filter on every attempt and
+    ``np.unique`` before the overlap filter.
+
+    Claims frames in the *free* bitmap copy; raises OutOfMemoryError where
+    the window lacks free frames.
+    """
+    weights = phys.channel_weights()
+    mod = phys._residue_modulus
+    k_lo, k_hi = -(-lo // mod), hi // mod
+    total = ndraws * run
+    out = np.empty(total, dtype=np.int64)
+    filled = 0
+    attempts = 0
+    while filled < total and attempts < 64:
+        need_runs = (total - filled + run - 1) // run
+        n = max(int(need_runs * 1.6) + 16, 32)
+        channels = rng.choice(len(weights), size=n, p=weights)
+        ks = rng.integers(k_lo, max(k_hi - 1, k_lo + 1), size=n)
+        starts = phys._channel_residue[channels] + ks * mod
+        if run > 1:
+            starts &= ~np.int64(run - 1)
+        starts = starts[(starts >= lo) & (starts + run <= hi)]
+        ok = free[starts]
+        for extra in range(1, run):
+            ok &= free[starts + extra]
+        starts = np.unique(starts[ok])
+        if run > 1 and starts.size > 1:
+            keep = np.empty(starts.size, dtype=bool)
+            keep[0] = True
+            keep[1:] = np.diff(starts) >= run
+            starts = starts[keep]
+        starts = starts[:need_runs]
+        if starts.size:
+            frames = (starts[:, None] + np.arange(run, dtype=np.int64)).ravel()
+            free[frames] = False
+            out[filled : filled + len(frames)] = frames
+            filled += len(frames)
+        attempts += 1
+    if filled < total:
+        free_idx = lo + np.flatnonzero(free[lo:hi])[: total - filled]
+        if len(free_idx) < total - filled:
+            raise OutOfMemoryError("physical pool exhausted")
+        free[free_idx] = False
+        out[filled:] = free_idx
+    return out
+
+
+def reference_alloc_scattered(phys, npages, pair_fraction, frame_range):
+    """``alloc_scattered``'s frames and the generator after it, computed on
+    copies of the pool's bitmap and generator."""
+    free = phys._free.copy()
+    rng = copy.deepcopy(phys._rng)
+    lo, hi = frame_range or (0, phys.total_frames)
+    pair_pages = int(npages * pair_fraction) & ~1
+    batches = []
+    if pair_pages:
+        batches.append(
+            reference_draw(phys, rng, free, pair_pages // 2, 2, lo, hi)
+        )
+    if npages > pair_pages:
+        batches.append(
+            reference_draw(phys, rng, free, npages - pair_pages, 1, lo, hi)
+        )
+    return np.concatenate(batches)[:npages], rng
+
+
+class TestTableSamplerAgainstChoice:
+    # skew 0 puts every cdf value on a bin edge (no sentinel bins); 1.1 is
+    # the default; at 3.0 most cdf steps are far below a bin (2^-16).
+    @pytest.mark.parametrize("skew", [0.0, 1.1, 3.0])
+    @pytest.mark.parametrize("seed", [0, 0x1300A, 12345])
+    def test_draws_and_generator_state_match(self, skew, seed):
+        phys = PhysicalMemory(skewed_config(skew), seed=seed)
+        cdf, table = phys._residue_sampler
+        sentinel = phys._residue_modulus
+        if skew == 0.0:
+            assert not (table == sentinel).any()
+        if skew == 3.0:
+            assert (np.diff(cdf) < 2.0**-16).sum() > 10
+        weights = phys.channel_weights()
+        for n in (0, 1, 32, 10**6):
+            reference = copy.deepcopy(phys._rng)
+            if n == 10**6 and skew > 0:
+                # The draw reaches the sentinel bins' searchsorted path.
+                u = copy.deepcopy(phys._rng).random(n)
+                assert (table[(u * 2**16).astype(np.intp)] == sentinel).any()
+            residues = phys._sample_residues(n)
+            expected = phys._channel_residue[
+                reference.choice(len(weights), size=n, p=weights)
+            ]
+            np.testing.assert_array_equal(residues, expected)
+            assert phys._rng.integers(0, 2**62) == reference.integers(0, 2**62)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        skew=st.sampled_from([0.0, 1.1, 3.0]),
+        prefill=st.integers(0, 6000),
+        npages=st.integers(1, 3000),
+        pair_fraction=st.floats(0.0, 1.0),
+        bounds=st.one_of(
+            st.none(),
+            st.tuples(st.integers(0, 16383), st.integers(1, 16384)),
+        ),
+    )
+    # Windows with no whole residue period (128 frames), exactly one, and
+    # more than one.
+    @example(seed=0, skew=1.1, prefill=0, npages=60, pair_fraction=0.5,
+             bounds=(200, 300))
+    @example(seed=1, skew=1.1, prefill=0, npages=40, pair_fraction=0.9,
+             bounds=(130, 250))
+    @example(seed=2, skew=1.1, prefill=100, npages=90, pair_fraction=0.5,
+             bounds=(256, 384))
+    @example(seed=3, skew=3.0, prefill=0, npages=200, pair_fraction=0.5,
+             bounds=(100, 400))
+    @settings(max_examples=80, deadline=None)
+    def test_alloc_scattered_matches_choice_reference(
+        self, seed, skew, prefill, npages, pair_fraction, bounds
+    ):
+        # A 64 MiB pool (16384 frames, 128 residue periods): windows range
+        # from a few frames to the whole pool.
+        phys = PhysicalMemory(skewed_config(skew, 1 << 26), seed=seed)
+        if prefill:
+            phys.alloc_scattered(prefill)
+        frame_range = None
+        if bounds is not None:
+            frame_range = (min(bounds), max(max(bounds), min(bounds) + 1))
+        npages = min(npages, phys.free_frames)
+        before = phys._free.copy()
+        try:
+            expected, rng = reference_alloc_scattered(
+                phys, npages, pair_fraction, frame_range
+            )
+        except OutOfMemoryError:
+            with pytest.raises(OutOfMemoryError):
+                phys.alloc_scattered(npages, pair_fraction, frame_range)
+            # A failed allocation gives back what it claimed.
+            np.testing.assert_array_equal(phys._free, before)
+            return
+        frames = phys.alloc_scattered(npages, pair_fraction, frame_range)
+        np.testing.assert_array_equal(frames, expected)
+        assert phys._rng.integers(0, 2**62) == rng.integers(0, 2**62)
