@@ -66,15 +66,13 @@ class HBMSubsystem:
         self._numa_domains = numa_domains
         self._frames_per_domain = total_frames // numa_domains
         self._stacks_per_domain = geometry.stacks // numa_domains
-        # The mapping repeats every `period` frames of a domain.  Where that
-        # tiles the domains, histograms count offsets through this table.
+        # The channel depends only on a frame's offset in its domain modulo
+        # `period`, so histograms count offsets through this per-domain table.
         self._period = (geometry.interleave_bytes // PAGE_SIZE
                         * self._stacks_per_domain * geometry.channels_per_stack)
-        self._period_channels = None
-        if self._frames_per_domain % self._period == 0:
-            self._period_channels = self.channels_of_frames(
-                np.arange(numa_domains)[:, None] * self._frames_per_domain
-                + np.arange(self._period)).ravel()
+        self._period_channels = self.channels_of_frames(
+            np.arange(numa_domains)[:, None] * self._frames_per_domain
+            + np.arange(self._period) % self._frames_per_domain).ravel()
         # RAS counters (the `amd-smi metric --ecc` view) + fault injection.
         self.inject = None
         self.correctable_errors = 0
@@ -186,15 +184,15 @@ class HBMSubsystem:
 
     def channel_histogram(self, frames: Sequence[int]) -> np.ndarray:
         """Bytes-per-channel histogram for a set of resident frames."""
-        table = self._period_channels
-        if table is None:
-            return np.bincount(self.channels_of_frames(frames),
-                               minlength=self._geometry.channels) * PAGE_SIZE
+        table, period = self._period_channels, self._period
         arr = np.asarray(frames, dtype=np.int64)
-        # arr % period, via numpy's much faster scalar floor_divide.
-        offsets = arr - arr // self._period * self._period
         if self._numa_domains > 1:
-            offsets += arr // self._frames_per_domain * self._period
+            domain = arr // self._frames_per_domain
+            arr = arr - domain * self._frames_per_domain
+        # arr % period, via numpy's much faster scalar floor_divide.
+        offsets = arr - arr // period * period
+        if self._numa_domains > 1:
+            offsets += domain * period
         counts = np.zeros(self._geometry.channels, dtype=np.int64)
         np.add.at(counts, table, np.bincount(offsets, minlength=table.size))
         return counts * PAGE_SIZE

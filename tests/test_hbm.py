@@ -55,26 +55,29 @@ class TestChannelMapping:
             HBMSubsystem(geo)
 
 
-#: Geometries for the differential tests: (geometry, NPS domain counts,
-#: whether the period table applies).  The period is
+#: Geometries for the differential tests: (geometry, NPS domain counts).
+#: The interleave period is
 #: ``interleave pages * stacks per domain * channels per stack``.
 GEOMETRIES = [
-    (HBMGeometry(), (1, 4), True),
+    (HBMGeometry(), (1, 4)),
     # Period 2 * 8 * 12 = 192 (NPS1) or 48 (NPS4): not a power of two,
     # but it still tiles the 8 * 192-frame pool.
     (HBMGeometry(channels_per_stack=12, interleave_bytes=2 * PAGE_SIZE,
-                 stack_capacity_bytes=192 * PAGE_SIZE), (1, 4), True),
+                 stack_capacity_bytes=192 * PAGE_SIZE), (1, 4)),
     # 100 frames per stack: the 128-frame period does not tile the pool
     # (NPS1) or a 200-frame domain (NPS4's period 32).
-    (HBMGeometry(stack_capacity_bytes=100 * PAGE_SIZE), (1, 4), False),
+    (HBMGeometry(stack_capacity_bytes=100 * PAGE_SIZE), (1, 4)),
+    # 10 frames per stack: the period exceeds the 80-frame pool (NPS1,
+    # period 128) and each 20-frame domain (NPS4, period 32).
+    (HBMGeometry(stack_capacity_bytes=10 * PAGE_SIZE), (1, 4)),
     # 12 * 3 = 36 channels over 3 * 30 = 90 frames (period 36).
     (HBMGeometry(stacks=3, channels_per_stack=12,
-                 stack_capacity_bytes=30 * PAGE_SIZE), (1,), False),
+                 stack_capacity_bytes=30 * PAGE_SIZE), (1,)),
 ]
 
 CASES = [
-    pytest.param(geo, domains, table, id=f"{i}-nps{domains}")
-    for i, (geo, all_domains, table) in enumerate(GEOMETRIES)
+    pytest.param(geo, domains, id=f"{i}-nps{domains}")
+    for i, (geo, all_domains) in enumerate(GEOMETRIES)
     for domains in all_domains
 ]
 
@@ -96,11 +99,9 @@ def edge_frames(hbm):
 
 
 class TestHistogramAgainstReference:
-    @pytest.mark.parametrize("geometry, domains, table", CASES)
-    def test_fixed_frame_sets(self, geometry, domains, table):
+    @pytest.mark.parametrize("geometry, domains", CASES)
+    def test_fixed_frame_sets(self, geometry, domains):
         hbm = HBMSubsystem(geometry, domains)
-        # The period table applies exactly when the period tiles a domain.
-        assert (hbm._period_channels is not None) == table
         total = hbm.capacity_bytes // PAGE_SIZE
         rng = np.random.default_rng(domains)
         edges = edge_frames(hbm)
@@ -122,7 +123,7 @@ class TestHistogramAgainstReference:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_random_frame_sets(self, data):
-        geometry, all_domains, _ = data.draw(st.sampled_from(GEOMETRIES))
+        geometry, all_domains = data.draw(st.sampled_from(GEOMETRIES))
         hbm = HBMSubsystem(geometry, data.draw(st.sampled_from(all_domains)))
         total = hbm.capacity_bytes // PAGE_SIZE
         frames = data.draw(st.lists(st.integers(0, total - 1), max_size=300))
@@ -131,8 +132,8 @@ class TestHistogramAgainstReference:
             reference_histogram(hbm, frames),
         )
 
-    @pytest.mark.parametrize("geometry, domains, table", CASES)
-    def test_vectorised_mapping_matches_scalar(self, geometry, domains, table):
+    @pytest.mark.parametrize("geometry, domains", CASES)
+    def test_vectorised_mapping_matches_scalar(self, geometry, domains):
         hbm = HBMSubsystem(geometry, domains)
         total = hbm.capacity_bytes // PAGE_SIZE
         frames = np.unique(np.concatenate([
