@@ -1,10 +1,10 @@
 """Shared fixtures for the per-table/figure benchmark harness.
 
 Every module regenerates one table or figure of the paper through the
-:mod:`repro.exp` registry — the same specs `repro run` and the report
-collectors execute — then asserts the *shape* of the result: orderings,
-ratios, plateau positions, against the paper's findings.  Absolute
-agreement is recorded in EXPERIMENTS.md.
+:mod:`repro.exp` registry — the same specs `repro run` executes — then
+asserts the *shape* of the result: orderings, ratios, plateau positions,
+against the paper's findings.  Absolute agreement is recorded in
+EXPERIMENTS.md.
 
 The engine run for each experiment happens once per session and is
 shared between the timing test and the assertion fixtures:

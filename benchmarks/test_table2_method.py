@@ -13,13 +13,14 @@ import pytest
 from conftest import print_table
 
 BENCHMARKS = [
-    ("Memory latency", "multichase", "repro.bench.multichase", "full_sweep"),
+    ("Memory latency", "multichase", "repro.bench.multichase", "chase_curve"),
     ("Memory bandwidth", "STREAM", "repro.bench.stream", "gpu_triad"),
-    ("Legacy transfer", "hip-bandwidth", "repro.bench.hipbandwidth", "full_sweep"),
+    ("Legacy transfer", "hip-bandwidth", "repro.bench.hipbandwidth",
+     "measure_memcpy"),
     ("Coherence overhead", "custom", "repro.bench.histogram", "hybrid_grid"),
-    ("Allocation speed", "custom", "repro.bench.allocspeed", "full_cost_sweep"),
+    ("Allocation speed", "custom", "repro.bench.allocspeed", "cost_sweep"),
     ("Page fault overhead", "custom", "repro.bench.pagefault",
-     "full_throughput_sweep"),
+     "throughput_curve"),
 ]
 
 PROFILING = [

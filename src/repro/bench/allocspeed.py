@@ -88,17 +88,6 @@ def cost_sweep(
     ]
 
 
-def full_cost_sweep(
-    sizes: Optional[Sequence[int]] = None,
-    config: Optional[MI300AConfig] = None,
-) -> List[AllocSample]:
-    """All allocators' Fig. 6 curves."""
-    out: List[AllocSample] = []
-    for allocator in ALLOCATORS:
-        out.extend(cost_sweep(allocator, sizes, config))
-    return out
-
-
 def timed_loop(
     allocator: str,
     size_bytes: int,

@@ -114,6 +114,12 @@ def execute_point(
         with _point_alarm(timeout_s):
             spec = get_spec(name)
             payload = _normalize_payload(spec.runner(**params))
+            for row in payload["rows"]:
+                if len(row) != len(spec.columns):
+                    raise ValueError(
+                        f"row {row!r} has {len(row)} values for "
+                        f"{len(spec.columns)} columns {list(spec.columns)}"
+                    )
     except (KeyboardInterrupt, SystemExit):
         raise
     except BaseException:  # noqa: BLE001 — the traceback is the product
@@ -269,19 +275,28 @@ class Engine:
         quick: bool = False,
         only: Optional[Mapping[str, Any]] = None,
     ) -> Dict[str, ExperimentResult]:
-        """Run several experiments as one load-balanced point pool."""
+        """Run several experiments as one load-balanced point pool.
+
+        *only* keeps the points whose parameters equal every given
+        value; a filter that keeps no point of an experiment (a misspelt
+        axis, or a value no point has) is a ``ValueError``.
+        """
         specs = [get_spec(name) for name in names]
         plan: List[Tuple[ExperimentSpec, Point]] = []
         for spec in specs:
-            for point in spec.points(quick):
-                if only and any(
-                    axis in point.params and point.params[axis] != value
+            selected = [
+                point for point in spec.points(quick)
+                if not only or all(
+                    axis in point.params and point.params[axis] == value
                     for axis, value in only.items()
-                ):
-                    continue
-                plan.append((spec, point))
+                )
+            ]
+            if only and not selected:
+                raise ValueError(
+                    f"only={dict(only)!r} selects no point of {spec.name!r}"
+                )
+            plan.extend((spec, point) for point in selected)
 
-        started = time.perf_counter()
         results: Dict[Tuple[str, int], PointResult] = {}
         pending: List[Tuple[ExperimentSpec, Point, Optional[str]]] = []
 
@@ -308,7 +323,6 @@ class Engine:
                 point, payload, wall_s=wall_s, cached=False
             )
 
-        total_wall = time.perf_counter() - started
         out: Dict[str, ExperimentResult] = {}
         for spec in specs:
             point_results = [
@@ -320,10 +334,6 @@ class Engine:
             out[spec.name] = ExperimentResult(
                 spec=spec, quick=quick, points=point_results, wall_s=wall
             )
-        # Distribute unattributed wall time (pool scheduling) nowhere;
-        # run_many callers that need the true elapsed time measure it
-        # around this call.  Kept simple on purpose.
-        del total_wall
         return out
 
     # -- internals ------------------------------------------------------
@@ -502,11 +512,13 @@ def verify_bench(
     """
     from .registry import experiment_names
 
-    if not isinstance(payload, Mapping):
+    if isinstance(payload, (str, Path)):
         try:
             payload = json.loads(Path(payload).read_text())
         except (OSError, ValueError) as exc:
             return [f"unreadable BENCH file: {exc}"]
+    if not isinstance(payload, Mapping):
+        return ["BENCH payload must be a JSON object"]
     problems = []
     if payload.get("schema_version") != SCHEMA_VERSION:
         problems.append(
@@ -524,6 +536,8 @@ def verify_bench(
     for name in names:
         if name not in experiments:
             problems.append(f"experiment {name!r} missing from BENCH output")
+        elif not isinstance(experiments[name], Mapping):
+            problems.append(f"experiment {name!r} entry is not an object")
         elif not experiments[name].get("ok", False):
             problems.append(f"experiment {name!r} recorded a failure")
     return problems

@@ -2,9 +2,8 @@
 study, the UVM extension, and the partition sweep.
 
 Each experiment is one :class:`~repro.exp.spec.ExperimentSpec` — a
-parameter grid plus a module-level runner — replacing the hand-written
-per-figure drivers that used to live in ``cli.py``, ``report.py`` and
-the benchmark modules.  Runners are intentionally small: they call the
+parameter grid plus a module-level runner; no other module restates a
+figure's grid.  Runners are intentionally small: they call the
 same ``repro.bench`` / ``repro.apps`` / ``repro.uvm`` /
 ``repro.partition`` entry points the paper benchmarks always used, one
 grid point at a time, on a freshly built simulated node.

@@ -1,9 +1,9 @@
 """Central experiment registry.
 
 Experiments register once (import time of :mod:`repro.exp.experiments`)
-and every consumer — the ``repro run`` CLI, the report collectors, the
-benchmark fixtures, the BENCH artifact writer — resolves them here
-instead of keeping its own per-figure function table.
+and every consumer — the ``repro run`` CLI, the benchmark fixtures,
+the BENCH artifact writer — resolves them here instead of keeping its
+own per-figure function table.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ class APU:
         xnack: whether the process runs with ``HSA_XNACK=1`` (enables
             GPU page-fault replay; flips the on-demand allocators of
             Table 1).
-        seed: seed for the deterministic allocation/fault randomness.
+        seed: seed for the deterministic physical-placement randomness.
         partition: compute/memory partition mode pair; defaults to
             SPX/NPS1 (the paper's testbed), which leaves every model
             identical to the unpartitioned APU.
@@ -77,7 +77,7 @@ class APU:
         self.gpu_pt = GPUPageTable()
         self.hmm = HMMMirror(self.system_pt, self.gpu_pt)
         self.faults = FaultHandler(
-            self.config, self.physical, self.hmm, xnack_enabled=xnack, seed=seed
+            self.config, self.physical, self.hmm, xnack_enabled=xnack
         )
         self.faults.trace = self.trace
         self.memory = MemoryManager(

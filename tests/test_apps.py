@@ -15,7 +15,7 @@ from repro.apps.dwt2d import Dwt2d
 from repro.apps.heartwall import Heartwall
 from repro.apps.hotspot import Hotspot
 from repro.apps.nn import NearestNeighbor
-from repro.apps.srad import SradV1
+from repro.exp.experiments import run_app
 
 SMALL = {
     "backprop": {"input_units": 1 << 16},
@@ -175,7 +175,8 @@ class TestParameterHandling:
             compare(results["hotspot"]["explicit"], results["nn"]["unified"])
 
     def test_compare_variants_helper(self):
-        app = SradV1()
-        out = app.compare_variants(memory_gib=4, params=SMALL["srad_v1"])
-        assert "unified" in out
-        assert out["unified"].app == "srad_v1"
+        # The `apps` experiment's runner compares every variant with the
+        # explicit baseline, one row per variant.
+        rows = run_app("srad_v1", "quick")["rows"]
+        assert "unified" in [row[1] for row in rows]
+        assert {row[0] for row in rows} == {"srad_v1"}

@@ -14,6 +14,8 @@ from repro.bench import (
     pagefault,
     stream,
 )
+from repro.cli import main
+from repro.exp import Engine
 from repro.hw.config import KiB, MiB
 
 
@@ -49,11 +51,10 @@ class TestMultichase:
         with pytest.raises(ValueError):
             multichase.chase_curve("cudaMalloc", "cpu", sizes=[1 * KiB])
 
-    def test_format_table(self):
-        samples = multichase.chase_curve(
-            "hipMalloc", "gpu", sizes=[1 * KiB], memory_gib=2
-        )
-        text = multichase.format_table(samples)
+    def test_format_table(self, capsys):
+        # Chase curves reach a user as the `fig2` experiment's table.
+        assert main(["run", "fig2", "--quick", "--no-cache"]) == 0
+        text = capsys.readouterr().out
         assert "hipMalloc" in text
         assert "latency_ns" in text
 
@@ -90,12 +91,11 @@ class TestStream:
         assert malloc_faults > 50 * hip_faults
 
     def test_tlb_miss_gap(self):
-        rows = stream.gpu_tlb_miss_table(
-            allocators=["malloc", "hipMalloc"],
-            array_bytes=64 * MiB,
-            memory_gib=2,
-        )
-        by_name = {r.allocator: r.gpu_tlb_misses for r in rows}
+        by_name = {
+            a: stream.gpu_triad(a, array_bytes=64 * MiB, memory_gib=2)
+            .gpu_tlb_misses
+            for a in ("malloc", "hipMalloc")
+        }
         assert by_name["malloc"] > 5 * by_name["hipMalloc"]
 
 
@@ -173,13 +173,19 @@ class TestAllocSpeedBench:
         assert len({r.alloc_ns for r in rows}) == 1
 
     def test_full_sweep_covers_allocators(self):
-        rows = allocspeed.full_cost_sweep(sizes=[4096])
-        assert {r.allocator for r in rows} == set(allocspeed.ALLOCATORS)
+        result = Engine(workers=1, cache=None).run("fig6", quick=True)
+        assert {row["allocator"] for row in result.dicts()} == set(
+            allocspeed.ALLOCATORS
+        )
 
 
 class TestPageFaultBench:
     def test_throughput_curves(self):
-        samples = pagefault.full_throughput_sweep(page_counts=[100, 10_000])
+        samples = [
+            s
+            for scenario in ("gpu_major", "gpu_minor", "cpu", "cpu12")
+            for s in pagefault.throughput_curve(scenario, [100, 10_000])
+        ]
         assert len(samples) == 8
 
     def test_measured_close_to_model_at_plateau(self):

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, list_experiments, main
-from repro.exp import experiment_names
+from repro.cli import build_parser, main
+from repro.exp import Engine, experiment_names
 
 
 class TestParser:
@@ -21,24 +21,35 @@ class TestParser:
         assert args.quick and args.no_cache
         assert args.workers == 4
 
-    def test_alias_quick_flag(self):
-        args = build_parser().parse_args(["fig9", "--quick"])
-        assert args.quick
-        assert args.experiment == "fig9"
+    def test_run_is_the_only_spelling_of_an_experiment(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fig9", "--quick"])
 
-    def test_fig11_aliases_apps(self):
-        args = build_parser().parse_args(["fig11", "--quick"])
-        assert args.experiment == "apps"
+    def test_alias_quick_flag(self):
+        args = build_parser().parse_args(["run", "--quick", "fig9"])
+        assert args.quick
+        assert args.experiments == ["fig9"]
+
+    def test_fig11_aliases_apps(self, capsys):
+        # Paper figure numbers map to experiments through `list`'s source
+        # column, not through per-figure subcommands.
+        main(["list"])
+        rows = capsys.readouterr().out.splitlines()
+        assert any(r.startswith("apps ") and "Fig. 11" in r for r in rows)
 
     def test_app_selector(self):
-        args = build_parser().parse_args(["apps", "--app", "hotspot"])
-        assert args.app == "hotspot"
+        # One app of the `apps` experiment is selected by its grid axis.
+        result = Engine(workers=1, cache=None).run(
+            "apps", quick=True, only={"app": "hotspot"}
+        )
+        assert len(result.points) == 1
+        assert {row["app"] for row in result.dicts()} == {"hotspot"}
 
     def test_every_experiment_has_an_alias_subcommand(self):
         parser = build_parser()
         for name in experiment_names():
-            args = parser.parse_args([name, "--no-cache"])
-            assert args.experiment == name
+            args = parser.parse_args(["run", name, "--no-cache"])
+            assert args.experiments == [name]
 
 
 class TestMenu:
@@ -54,8 +65,9 @@ class TestMenu:
         assert "points" in out and "grid" in out
         assert "allocator[6]" in out  # fig2's grid axis
 
-    def test_every_experiment_documented(self):
-        rows = "\n".join(list_experiments())
+    def test_every_experiment_documented(self, capsys):
+        main(["list"])
+        rows = capsys.readouterr().out
         for name in experiment_names():
             assert name in rows
 
@@ -73,7 +85,7 @@ class TestCommandsRun:
 
     @pytest.mark.parametrize("experiment", ["table1", "fig6", "fig7", "fig8"])
     def test_model_backed_commands(self, experiment, capsys):
-        assert main([experiment, "--no-cache"]) == 0
+        assert main(["run", experiment, "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "===" in out
 
@@ -84,31 +96,31 @@ class TestCommandsRun:
         assert "upm/MI300A" in out
 
     def test_fig9_quick(self, capsys):
-        assert main(["fig9", "--quick", "--no-cache"]) == 0
+        assert main(["run", "fig9", "--quick", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "hipMalloc" in out
 
     def test_memcpy_quick(self, capsys):
-        assert main(["memcpy", "--quick", "--no-cache"]) == 0
+        assert main(["run", "memcpy", "--quick", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "hipMemcpy" in out
 
     def test_uvm_quick(self, capsys):
-        assert main(["uvm", "--quick", "--no-cache"]) == 0
+        assert main(["run", "uvm", "--quick", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "upm/MI300A" in out
 
     def test_apps_single_quick(self, capsys):
-        assert main(["apps", "--quick", "--no-cache", "--app", "srad_v1"]) == 0
+        assert main(["run", "apps", "--quick", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "srad_v1" in out
 
     def test_apps_unknown_app(self):
-        with pytest.raises(SystemExit):
-            main(["apps", "--no-cache", "--app", "lud"])
+        with pytest.raises(ValueError):
+            Engine(workers=1, cache=None).run("apps", only={"app": "lud"})
 
     def test_partition_quick(self, capsys):
-        assert main(["partition", "--quick", "--no-cache"]) == 0
+        assert main(["run", "partition", "--quick", "--no-cache"]) == 0
         out = capsys.readouterr().out
         for mode in ("SPX/NPS1", "TPX/NPS1", "CPX/NPS1", "CPX/NPS4"):
             assert mode in out
@@ -131,10 +143,10 @@ class TestArtifacts:
 
     def test_cache_dir_round_trip(self, tmp_path, capsys):
         cache = tmp_path / "cache"
-        assert main(["fig8", "--quick", "--cache-dir", str(cache)]) == 0
+        assert main(["run", "fig8", "--quick", "--cache-dir", str(cache)]) == 0
         capsys.readouterr()
         assert any(cache.rglob("*.json"))
-        assert main(["fig8", "--quick", "--cache-dir", str(cache)]) == 0
+        assert main(["run", "fig8", "--quick", "--cache-dir", str(cache)]) == 0
         assert "cpu" in capsys.readouterr().out
 
     def test_verify_bench_ok_and_missing(self, tmp_path, capsys):
@@ -155,7 +167,37 @@ class TestArtifacts:
 
 class TestExport:
     def test_export_writes_csvs(self, tmp_path, capsys):
-        assert main(["export", "--quick", "--out", str(tmp_path / "r")]) == 0
-        out = capsys.readouterr().out
-        assert "table1.csv" in out
-        assert (tmp_path / "r" / "fig7.csv").exists()
+        # `run --out` is the one result writer: a JSON file per experiment.
+        out_dir = tmp_path / "r"
+        assert main([
+            "run", "table1", "fig7", "--quick", "--no-cache",
+            "--out", str(out_dir),
+        ]) == 0
+        assert f"wrote artifacts to {out_dir}" in capsys.readouterr().out
+        assert (out_dir / "table1.json").exists()
+        assert (out_dir / "fig7.json").exists()
+
+
+class TestVerifiersRejectMalformedInput:
+    """Both verifiers read outside files: a bad one is a problem line."""
+
+    @pytest.mark.parametrize("payload, problem", [
+        ([1, 2], "BENCH payload must be a JSON object"),
+        ({"schema_version": "1", "git_sha": "x", "timestamp": "t",
+          "experiments": {"fig8": 1}},
+         "experiment 'fig8' entry is not an object"),
+    ], ids=["top-level-list", "non-object-entry"])
+    def test_verify_bench(self, payload, problem, tmp_path, capsys):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(payload))
+        assert main(["verify-bench", str(path)]) == 1
+        assert f"BENCH: {problem}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ["not json", None],
+                             ids=["non-json", "missing"])
+    def test_verify_sarif(self, content, tmp_path, capsys):
+        path = tmp_path / "report.sarif"
+        if content is not None:
+            path.write_text(content)
+        assert main(["verify-sarif", str(path)]) == 1
+        assert "SARIF: unreadable" in capsys.readouterr().err

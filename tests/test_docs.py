@@ -5,6 +5,7 @@ paper-vs-measured record; these tests keep the documents honest against
 the actual repository contents.
 """
 
+import argparse
 import pathlib
 import re
 
@@ -85,6 +86,33 @@ class TestReadme:
         readme = (ROOT / "README.md").read_text()
         for module in re.findall(r"`(test_\w+\.py)`", readme):
             assert (ROOT / "benchmarks" / module).exists(), module
+
+
+class TestCommandDocs:
+    """A documented command must exist, and every command is documented."""
+
+    @pytest.fixture(scope="class")
+    def subcommands(self):
+        from repro.cli import build_parser
+
+        (action,) = [
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        return set(action.choices)
+
+    @pytest.mark.parametrize("doc", ["README.md", "DESIGN.md", "EXPERIMENTS.md"])
+    def test_documented_commands_exist(self, doc, subcommands):
+        text = (ROOT / doc).read_text()
+        documented = set(re.findall(r"python -m repro ([\w-]+)", text))
+        missing = documented - subcommands
+        assert not missing, f"{doc} documents unknown commands: {missing}"
+
+    def test_every_command_in_readme_table(self, subcommands):
+        readme = (ROOT / "README.md").read_text()
+        table = set(re.findall(r"^\| `python -m repro ([\w-]+)", readme, re.M))
+        missing = subcommands - table
+        assert not missing, f"README command table lacks: {missing}"
 
 
 class TestModelingDoc:

@@ -99,6 +99,13 @@ class TestEngineBasics:
             )
         assert result.rows == [[2, 8]]
 
+    @pytest.mark.parametrize("only", [{"valeu": 2}, {"value": 9}],
+                             ids=["misspelt-axis", "absent-value"])
+    def test_only_filter_that_selects_nothing_raises(self, only):
+        with temporarily_registered(SQUARES):
+            with pytest.raises(ValueError, match="selects no point"):
+                Engine(workers=1, cache=None).run("squares", only=only)
+
     def test_sim_time_aggregates(self):
         spec = make_spec("simt", sim_time_runner, {"value": [1, 2]})
         with temporarily_registered(spec):
@@ -173,7 +180,8 @@ class TestParallel:
         worker pool, halving (at least) the serial wall-clock even on a
         single-CPU host.  CPU-bound speedups need real cores (CI)."""
         spec = make_spec(
-            "naps", sleeping_runner, {"value": [0, 1, 2, 3]}, {"delay": 0.4}
+            "naps", sleeping_runner, {"value": [0, 1, 2, 3]}, {"delay": 0.4},
+            columns=("k",),
         )
         with temporarily_registered(spec):
             start = time.perf_counter()
@@ -302,7 +310,8 @@ def always_crashing_runner(value):
 class TestPointTimeout:
     def test_overrunning_point_is_recorded_not_hung(self):
         spec = make_spec(
-            "sleepy", sleeping_runner, {"value": [1]}, {"delay": 5.0}
+            "sleepy", sleeping_runner, {"value": [1]}, {"delay": 5.0},
+            columns=("k",),
         )
         with temporarily_registered(spec):
             engine = Engine(workers=1, cache=None, point_timeout_s=0.2)
@@ -320,7 +329,8 @@ class TestPointTimeout:
 
     def test_cli_timeout_flag_reaches_the_engine(self, capsys):
         spec = make_spec(
-            "sleepy_cli", sleeping_runner, {"value": [1]}, {"delay": 5.0}
+            "sleepy_cli", sleeping_runner, {"value": [1]}, {"delay": 5.0},
+            columns=("k",),
         )
         with temporarily_registered(spec):
             code = main(["run", "sleepy_cli", "--no-cache",
