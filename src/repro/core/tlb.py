@@ -32,9 +32,6 @@ class TLBStats:
 
     hits: int = 0
     misses: int = 0
-    #: Hits served while an injected shootdown was pending: the entry
-    #: should already have been invalidated (stale-translation window).
-    stale_hits: int = 0
 
     @property
     def accesses(self) -> int:
@@ -58,8 +55,6 @@ class TLB:
         self._geometry = geometry
         self._entries: "OrderedDict[int, None]" = OrderedDict()
         self.stats = TLBStats()
-        self.inject = None  # InjectionPlan for delayed-shootdown faults
-        self._deferred_flush: "int | None" = None  # accesses until it lands
 
     @property
     def geometry(self) -> TLBGeometry:
@@ -76,53 +71,19 @@ class TLB:
 
     def access(self, vpn: int, fragment_exponent: int = 0) -> bool:
         """Translate one page access; returns True on hit."""
-        deferred = self._deferred_flush is not None
         tag = self._tag(vpn, fragment_exponent)
         if tag in self._entries:
             self._entries.move_to_end(tag)
             self.stats.hits += 1
-            if deferred:
-                # Served from an entry a pending shootdown should have
-                # invalidated: a stale translation.
-                self.stats.stale_hits += 1
-            hit = True
-        else:
-            self.stats.misses += 1
-            self._entries[tag] = None
-            if len(self._entries) > self._geometry.entries:
-                self._entries.popitem(last=False)
-            hit = False
-        if deferred:
-            self._deferred_flush -= 1
-            if self._deferred_flush <= 0:
-                self._entries.clear()
-                self._deferred_flush = None
-        return hit
+            return True
+        self.stats.misses += 1
+        self._entries[tag] = None
+        if len(self._entries) > self._geometry.entries:
+            self._entries.popitem(last=False)
+        return False
 
     def flush(self) -> None:
-        """Invalidate all entries (TLB shootdown).
-
-        An attached injection plan can delay the invalidation by N
-        accesses (``tlb.shootdown``/``delay``): until it lands, lookups
-        keep hitting the stale entries (counted in
-        :attr:`TLBStats.stale_hits`).  A second flush while one is
-        pending lands immediately, as a real IOMMU invalidation-queue
-        drain would.
-        """
-        if self._deferred_flush is not None:
-            # Back-to-back shootdowns drain the queue: flush now.
-            self._entries.clear()
-            self._deferred_flush = None
-            return
-        if self.inject is not None:
-            fault = self.inject.fire(
-                "tlb.shootdown", entries=len(self._entries)
-            )
-            if fault is not None and fault.kind == "delay":
-                self._deferred_flush = max(
-                    1, int(fault.params.get("delay_accesses", 8))
-                )
-                return
+        """Invalidate all entries (TLB shootdown)."""
         self._entries.clear()
 
     def reset_stats(self) -> None:

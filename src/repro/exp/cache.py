@@ -74,9 +74,9 @@ class ResultCache:
 
     Entries are written as ``{"sha256": ..., "payload": ...}`` so a
     truncated or bit-rotted file is detected on read instead of feeding
-    silently-wrong rows into a sweep.  A corrupt entry counts as a miss
-    and is moved into ``<root>/quarantine/`` for post-mortem; entries in
-    the pre-checksum layout (a bare payload object) are still served.
+    silently-wrong rows into a sweep.  A corrupt entry (unparseable, in
+    another layout, or failing its checksum) counts as a miss and is
+    moved into ``<root>/quarantine/`` for post-mortem.
     """
 
     QUARANTINE_DIR = "quarantine"
@@ -125,19 +125,16 @@ class ResultCache:
         try:
             doc = json.loads(text)
         except ValueError:
+            doc = None
+        if not (
+            isinstance(doc, dict) and set(doc) == {"sha256", "payload"}
+            and doc["sha256"] == self._digest(doc["payload"])
+        ):
             self._quarantine(path)
             self.misses += 1
             return None
-        if isinstance(doc, dict) and set(doc) == {"sha256", "payload"}:
-            if doc["sha256"] != self._digest(doc["payload"]):
-                self._quarantine(path)
-                self.misses += 1
-                return None
-            payload = doc["payload"]
-        else:
-            payload = doc  # pre-checksum entry
         self.hits += 1
-        return payload
+        return doc["payload"]
 
     def put(self, key: str, payload: Dict[str, Any]) -> Path:
         """Store *payload* (checksummed) under *key*; atomic via rename."""

@@ -6,7 +6,7 @@ latency model, and the chiplet topology.
 """
 
 from .caches import CacheHierarchy, HierarchyLevel, cpu_hierarchy, gpu_hierarchy
-from .clock import SimClock, Stopwatch
+from .clock import SimClock
 from .config import (
     GiB,
     KiB,
@@ -37,7 +37,6 @@ __all__ = [
     "MiB",
     "PAGE_SIZE",
     "SimClock",
-    "Stopwatch",
     "TiB",
     "channel_balance",
     "cpu_hierarchy",

@@ -85,36 +85,3 @@ class SimClock:
     def __repr__(self) -> str:
         return f"SimClock(now={self._now_ns:.1f} ns)"
 
-
-class Stopwatch:
-    """Convenience timer over a :class:`SimClock`.
-
-    Mirrors the CPU timers the paper inserts around benchmark loops::
-
-        sw = Stopwatch(clock)
-        sw.start()
-        ...  # simulated work
-        elapsed = sw.stop_ns()
-    """
-
-    def __init__(self, clock: SimClock) -> None:
-        self._clock = clock
-        self._start_ns: float | None = None
-
-    def start(self) -> None:
-        """Record the current simulated time as the start point."""
-        self._start_ns = self._clock.now_ns
-
-    def stop_ns(self) -> float:
-        """Return nanoseconds since :meth:`start` and clear the start point."""
-        if self._start_ns is None:
-            raise RuntimeError("Stopwatch.stop_ns() called before start()")
-        elapsed = self._clock.now_ns - self._start_ns
-        self._start_ns = None
-        return elapsed
-
-    def peek_ns(self) -> float:
-        """Return nanoseconds since :meth:`start` without clearing it."""
-        if self._start_ns is None:
-            raise RuntimeError("Stopwatch.peek_ns() called before start()")
-        return self._clock.now_ns - self._start_ns

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from ..core.allocators import Allocation, AllocatorKind
 from ..partition.modes import PartitionConfig
 from .config import MI300AConfig
@@ -74,7 +72,6 @@ class MI300ANode:
         self._xnack = xnack
         self._seed = seed
         self._apus: Dict[int, "APU"] = {}
-        self._graph = nx.complete_graph(self.config.apus_per_node)
         self._link_traffic: Dict[Tuple[int, int], int] = {}
         self._visible: Optional[List[int]] = None
         self._default_partition = partition
@@ -155,14 +152,11 @@ class MI300ANode:
     # Topology
     # ------------------------------------------------------------------
 
-    @property
-    def graph(self) -> nx.Graph:
-        """The xGMI interconnect graph (fully connected)."""
-        return self._graph
-
     def hops(self, src: int, dst: int) -> int:
-        """Fabric hops between two APUs (1 everywhere on this node)."""
-        return nx.shortest_path_length(self._graph, src, dst)
+        """Fabric hops between two APUs (xGMI links every pair: 0 or 1)."""
+        self._check_index(src)
+        self._check_index(dst)
+        return int(src != dst)
 
     # ------------------------------------------------------------------
     # Peer transfers

@@ -6,18 +6,19 @@ cross-die communication and the HBM3 interface (paper Fig. 1).  Every two
 XCDs or three CCDs share an IOD; the Infinity Fabric interconnects the
 chiplets and routes memory requests to channels.
 
-The topology is represented as a :mod:`networkx` graph so examples and
-tests can reason about paths (e.g. XCD -> IOD -> HBM stack) and the
-benchmark suite can verify structural invariants (all six XCDs presented
-as one device, shared memory reachable from every chiplet).
+The package is a star over a full mesh: every XCD, CCD and HBM stack
+hangs off one IOD, and the IODs are fully connected.  So the topology is
+one map from each chiplet to its home IOD, and every path is
+``src -> home(src) -> home(dst) -> dst``.  Examples and tests use it to
+reason about paths (e.g. XCD -> IOD -> HBM stack) and to check
+structural invariants (all six XCDs presented as one device, shared
+memory reachable from every chiplet).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
-
-import networkx as nx
+from typing import Dict, List, Tuple
 
 from .config import MI300AConfig
 
@@ -26,70 +27,55 @@ from .config import MI300AConfig
 class Chiplet:
     """One die on the APU package."""
 
-    kind: str  # "xcd", "ccd", or "iod"
+    kind: str  # "xcd", "ccd", "iod", or "hbm"
     index: int
 
     @property
     def node_id(self) -> str:
-        """Stable graph-node identifier, e.g. ``xcd3``."""
+        """Stable node identifier, e.g. ``xcd3``."""
         return f"{self.kind}{self.index}"
 
 
 class APUTopology:
-    """Graph view of the MI300A chiplet interconnect."""
+    """The MI300A chiplet interconnect: each chiplet and its home IOD."""
 
     def __init__(self, config: MI300AConfig) -> None:
-        self._config = config
-        self._graph = nx.Graph()
-        self._build()
-
-    def _build(self) -> None:
-        cfg = self._config
-        for i in range(cfg.iod_count):
-            self._graph.add_node(f"iod{i}", kind="iod")
-        for i in range(cfg.xcd_count):
-            self._graph.add_node(f"xcd{i}", kind="xcd")
-        for i in range(cfg.ccd_count):
-            self._graph.add_node(f"ccd{i}", kind="ccd")
-        for i in range(cfg.hbm.stacks):
-            self._graph.add_node(f"hbm{i}", kind="hbm")
-
-        # Every two XCDs share an IOD (6 XCDs -> IODs 0..2).
-        for i in range(cfg.xcd_count):
-            self._graph.add_edge(f"xcd{i}", f"iod{i // 2}", link="infinity_fabric")
-        # The three CCDs share the remaining IOD.
-        ccd_iod = cfg.iod_count - 1
-        for i in range(cfg.ccd_count):
-            self._graph.add_edge(f"ccd{i}", f"iod{ccd_iod}", link="infinity_fabric")
-        # IODs are fully connected by Infinity Fabric.
-        for a in range(cfg.iod_count):
-            for b in range(a + 1, cfg.iod_count):
-                self._graph.add_edge(f"iod{a}", f"iod{b}", link="infinity_fabric")
-        # Each IOD hosts the interface to two HBM stacks.
-        for stack in range(cfg.hbm.stacks):
-            self._graph.add_edge(
-                f"hbm{stack}", f"iod{stack % cfg.iod_count}", link="hbm_phy"
+        needed = (config.xcd_count + 1) // 2
+        if needed > config.iod_count:
+            raise ValueError(
+                f"{config.xcd_count} XCDs need {needed} IODs (two XCDs per "
+                f"IOD), but the config has {config.iod_count}"
             )
-
-    @property
-    def graph(self) -> nx.Graph:
-        """The underlying interconnect graph (do not mutate)."""
-        return self._graph
+        self._config = config
+        # Every two XCDs share an IOD (6 XCDs -> IODs 0..2), the CCDs share
+        # the last IOD, and IOD i hosts the PHYs of HBM stacks s with
+        # s % iod_count == i.  Each IOD is its own home.
+        last = config.iod_count - 1
+        self._home: Dict[str, str] = {
+            **{f"iod{i}": f"iod{i}" for i in range(config.iod_count)},
+            **{f"xcd{i}": f"iod{i // 2}" for i in range(config.xcd_count)},
+            **{f"ccd{i}": f"iod{last}" for i in range(config.ccd_count)},
+            **{
+                f"hbm{s}": f"iod{s % config.iod_count}"
+                for s in range(config.hbm.stacks)
+            },
+        }
 
     def chiplets(self, kind: str) -> List[Chiplet]:
         """All chiplets of *kind* ("xcd", "ccd", "iod", or "hbm")."""
-        nodes = sorted(
-            n for n, d in self._graph.nodes(data=True) if d["kind"] == kind
-        )
-        return [Chiplet(kind, int(n[len(kind):])) for n in nodes]
+        return [
+            Chiplet(kind, int(n[len(kind):]))
+            for n in self._home if n.startswith(kind)
+        ]
 
     def hops(self, src: str, dst: str) -> int:
         """Number of Infinity Fabric hops between two nodes."""
-        return nx.shortest_path_length(self._graph, src, dst)
+        return len(self.path(src, dst)) - 1
 
     def path(self, src: str, dst: str) -> List[str]:
-        """A shortest path between two nodes."""
-        return nx.shortest_path(self._graph, src, dst)
+        """The shortest path between two nodes: via their home IODs."""
+        route = (src, self._home[src], self._home[dst], dst)
+        return [src] if src == dst else list(dict.fromkeys(route))
 
     # ------------------------------------------------------------------
     # Partition-aware views (repro.partition builds on these)
@@ -110,7 +96,7 @@ class APUTopology:
     def stacks_of_iod(self, iod: int) -> List[int]:
         """HBM stack indices whose PHY lives on IOD *iod*.
 
-        Mirrors the graph's ``hbm<s> -- iod<s % iod_count>`` edges: with
+        Mirrors the ``hbm<s> -> iod<s % iod_count>`` homes: with
         8 stacks over 4 IODs, IOD *i* hosts stacks *i* and *i + 4*.
         These per-IOD stack pairs are the NPS4 NUMA domains.
         """
@@ -125,13 +111,12 @@ class APUTopology:
         """True when every compute chiplet can reach every HBM stack.
 
         This is the structural property that makes the memory *physically
-        unified*: there is no stack private to the CPU or the GPU.
+        unified*: there is no stack private to the CPU or the GPU.  It
+        holds when every chiplet hangs off an IOD of the package, since
+        the IODs are fully meshed.
         """
-        compute = [c.node_id for c in self.chiplets("xcd") + self.chiplets("ccd")]
-        stacks = [c.node_id for c in self.chiplets("hbm")]
-        return all(
-            nx.has_path(self._graph, c, s) for c in compute for s in stacks
-        )
+        iods = {c.node_id for c in self.chiplets("iod")}
+        return all(home in iods for home in self._home.values())
 
     def max_hops_to_memory(self) -> int:
         """Worst-case hop count from any compute chiplet to any stack."""
@@ -152,8 +137,8 @@ class APUTopology:
 
 def link_pairs(topology: APUTopology) -> List[Tuple[str, str]]:
     """All Infinity Fabric edges in the package, as sorted node pairs."""
-    return sorted(
-        (min(a, b), max(a, b))
-        for a, b, d in topology.graph.edges(data=True)
-        if d.get("link") == "infinity_fabric"
-    )
+    home = topology._home
+    links = [(n, iod) for n, iod in home.items() if n[:3] in ("xcd", "ccd")]
+    iods = [n for n in home if n.startswith("iod")]
+    links += [(a, b) for i, a in enumerate(iods) for b in iods[i + 1:]]
+    return sorted((min(a, b), max(a, b)) for a, b in links)

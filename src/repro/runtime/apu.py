@@ -48,7 +48,7 @@ class APU:
             for the hipsan pass (:mod:`repro.analyze.sanitizer`).
         inject: an :class:`~repro.inject.InjectionPlan` to attach to the
             APU's fault-injection sites (physical allocator, fault
-            handler, HBM ECC, TLB shootdowns).
+            handler, HBM ECC).
     """
 
     def __init__(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hw.clock import SimClock, Stopwatch
+from repro.hw.clock import SimClock
 
 
 class TestSimClock:
@@ -83,32 +83,3 @@ class TestSimClock:
             with clock.region("a"):
                 clock.reset()
 
-
-class TestStopwatch:
-    def test_measures_elapsed(self):
-        clock = SimClock()
-        sw = Stopwatch(clock)
-        sw.start()
-        clock.advance(123.0)
-        assert sw.stop_ns() == pytest.approx(123.0)
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch(SimClock()).stop_ns()
-
-    def test_peek_keeps_running(self):
-        clock = SimClock()
-        sw = Stopwatch(clock)
-        sw.start()
-        clock.advance(10.0)
-        assert sw.peek_ns() == pytest.approx(10.0)
-        clock.advance(10.0)
-        assert sw.stop_ns() == pytest.approx(20.0)
-
-    def test_stop_clears_start(self):
-        clock = SimClock()
-        sw = Stopwatch(clock)
-        sw.start()
-        sw.stop_ns()
-        with pytest.raises(RuntimeError):
-            sw.stop_ns()

@@ -108,6 +108,15 @@ class TestTopologyVariants:
             assert APUTopology(cfg).memory_reachable_from_all()
 
 
+class TestTopologyLimits:
+    def test_more_xcds_than_the_iods_can_host_is_rejected(self):
+        # Two XCDs per IOD: 10 XCDs need 5 IODs, the config has 4.
+        with pytest.raises(ValueError, match=r"10 XCDs.*\b4\b"):
+            APUTopology(MI300AConfig(xcd_count=10))
+        topo = APUTopology(MI300AConfig(xcd_count=9, iod_count=5))
+        assert topo.iod_of_xcd(8) == 4
+
+
 class TestPolicyKnobs:
     def test_contiguity_knob_changes_fragments(self):
         from repro.runtime.apu import APU

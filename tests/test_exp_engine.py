@@ -413,14 +413,16 @@ class TestCacheIntegrity:
         assert cache.get(self.KEY) == payload
         assert cache.quarantined == 0
 
-    def test_pre_checksum_entries_are_still_served(self, tmp_path):
+    def test_bare_payload_entry_is_quarantined(self, tmp_path):
+        # Only the checksummed layout is ever written; a bare payload
+        # object is as untrustworthy as any other corrupt entry.
         cache = ResultCache(tmp_path)
-        legacy = {"rows": [[3, 4]], "sim_time_ns": 0.0}
         path = cache._path(self.KEY)
         path.parent.mkdir(parents=True)
-        path.write_text(json.dumps(legacy, sort_keys=True))
-        assert cache.get(self.KEY) == legacy
-        assert cache.quarantined == 0
+        path.write_text(json.dumps({"rows": [[3, 4]], "sim_time_ns": 0.0}))
+        assert cache.get(self.KEY) is None
+        assert (cache.misses, cache.quarantined) == (1, 1)
+        assert (tmp_path / "quarantine" / path.name).exists()
 
 
 class TestSourceDigestCacheKey:

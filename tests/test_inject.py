@@ -409,45 +409,16 @@ class TestXnackFaults:
 
 
 # ----------------------------------------------------------------------
-# TLB shootdown faults
+# TLB shootdowns
 # ----------------------------------------------------------------------
 
 
 class TestTlbFaults:
-    def _tlb(self, plan):
-        tlb = TLB(TLBGeometry("test", 8, 100.0))
-        tlb.inject = plan
-        return tlb
-
-    def test_delayed_shootdown_serves_stale_hits(self):
-        plan = _plan(Injector("tlb.shootdown", "delay", NthCall(1),
-                              params={"delay_accesses": 3}))
-        tlb = self._tlb(plan)
-        tlb.access(1)
-        tlb.access(2)
-        tlb.flush()  # delayed: entries stay resident for 3 accesses
-        assert tlb.access(1)
-        assert tlb.access(2)
-        assert tlb.stats.stale_hits == 2
-        tlb.access(3)  # third deferred access: the invalidation lands
-        assert not tlb.access(1)
-        assert tlb.stats.stale_hits == 2
-
-    def test_back_to_back_shootdowns_drain_immediately(self):
-        plan = _plan(Injector("tlb.shootdown", "delay", NthCall(1),
-                              params={"delay_accesses": 50}))
-        tlb = self._tlb(plan)
-        tlb.access(1)
-        tlb.flush()  # deferred
-        tlb.flush()  # queue drain: lands now
-        assert not tlb.access(1)
-
     def test_uninjected_flush_is_immediate(self):
-        tlb = self._tlb(_plan())
+        tlb = TLB(TLBGeometry("test", 8, 100.0))
         tlb.access(1)
         tlb.flush()
         assert not tlb.access(1)
-        assert tlb.stats.stale_hits == 0
 
 
 # ----------------------------------------------------------------------
@@ -611,6 +582,12 @@ class TestChaosHarness:
             assert run["ok"], (run["app"], run["variant"], run["error"])
             assert run["checksum_matches"]
             assert run["free_frames_after"] == run["total_frames"]
+        fired = {
+            entry["event"] for run in report["runs"] for entry in run["journal"]
+            if entry["type"] == "inject"
+        }
+        for injector in CAMPAIGNS["standard"].build():
+            assert f"{injector.site}:{injector.kind}" in fired
 
     def test_unknown_app_is_rejected(self):
         with pytest.raises(ValueError, match="unknown app"):

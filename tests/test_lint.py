@@ -271,7 +271,7 @@ class TestLintCli:
 
         bad = tmp_path / "bad.py"
         bad.write_text("hipBogusCall()\n")
-        main(["lint", "--json", str(tmp_path)])
+        main(["lint", "--format", "json", str(tmp_path)])
         data = json.loads(capsys.readouterr().out)
         assert data[0]["rule"] == "lint.unknown-api"
 
